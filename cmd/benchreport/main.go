@@ -8,12 +8,12 @@
 // range-addressed rebalance path (movement planning, range-bounded
 // snapshot streaming), plus an end-to-end experiment run and a
 // whole-repo repolint pass — and writes the numbers as JSON so the
-// performance trajectory is tracked in-repo (BENCH_PR10.json). CI runs
+// performance trajectory is tracked in-repo (BENCH_PR12.json). CI runs
 // it on every push and uploads the file as an artifact.
 //
 // Usage:
 //
-//	go run ./cmd/benchreport [-o BENCH_PR10.json] [-quick] [-baseline old.json]
+//	go run ./cmd/benchreport [-o BENCH_PR12.json] [-quick] [-baseline old.json]
 //
 // -quick shortens the measurement windows (CI smoke); -baseline embeds a
 // previously captured report under "baseline" so before/after travels in
@@ -26,6 +26,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"os"
 	"runtime"
 	"time"
@@ -359,6 +360,34 @@ func benchMergeRead(target time.Duration) Bench {
 			if _, ok := e.Get(keys[i%records]); !ok {
 				panic("benchreport: merge-read miss")
 			}
+		}
+	})
+}
+
+// benchLSMOverwrite mirrors storage.BenchmarkLSMOverwrite: uniform
+// overwrites with rising versions of 50k preloaded keys (100 B values,
+// 1 MiB flush limit, 16 KiB WAL sync cadence, default MaxRuns) — the
+// LSM write path of a serving write workload, flushes and compactions
+// included. The engine carries over between calibration rounds like a
+// long-running replica's; its run count stays bounded by compaction.
+func benchLSMOverwrite(target time.Duration) Bench {
+	e := storage.NewLSMEngine(storage.Options{FlushLimit: 1 << 20, SyncBytes: 16 << 10})
+	keys := make([]string, 50_000)
+	val := make([]byte, 100)
+	var seq uint64
+	for i := range keys {
+		keys[i] = fmt.Sprintf("user%012d", i)
+		seq++
+		e.Apply(keys[i], storage.Cell{Version: storage.Version{Timestamp: time.Duration(seq), Seq: seq}, Value: val})
+	}
+	rng := rand.New(rand.NewPCG(1, 2))
+	return measure("LSMOverwrite", target, func(n uint64) {
+		for i := uint64(0); i < n; i++ {
+			seq++
+			e.Apply(keys[rng.IntN(len(keys))], storage.Cell{
+				Version: storage.Version{Timestamp: time.Duration(seq), Seq: seq},
+				Value:   val,
+			})
 		}
 	})
 }
@@ -800,7 +829,7 @@ func runRepolint() Tool {
 }
 
 func main() {
-	out := flag.String("o", "BENCH_PR10.json", "output path")
+	out := flag.String("o", "BENCH_PR12.json", "output path")
 	quick := flag.Bool("quick", false, "short measurement windows (CI smoke)")
 	baseline := flag.String("baseline", "", "previously captured report to embed under \"baseline\"")
 	flag.Parse()
@@ -825,6 +854,7 @@ func main() {
 		benchZipfMixedHotSet(target),
 		benchWALAppend(target),
 		benchMergeRead(target),
+		benchLSMOverwrite(target),
 		benchRingRebalance(target),
 		benchSnapshotStream(target),
 		benchRangeStreamPlan(target),
@@ -856,7 +886,14 @@ func main() {
 			"(PR 10): ring.Diff movement planning for a 64-node join, and the "+
 			"SnapshotStream codec pipeline bounded to the arcs one of eight members "+
 			"owns — costlier per cell (token-filtered point reads vs one merged scan) "+
-			"but ~1/N of the cells read, so the whole transfer wins severalfold.")
+			"but ~1/N of the cells read, so the whole transfer wins severalfold.",
+		"LSMOverwrite tracks the LSM write path in the serving write workload's shape "+
+			"(PR 12): 50k keys, 100 B values, 1 MiB flush limit, uniform overwrites. "+
+			"Merge compaction and the resident index took it from 4.27 µs/op at the parent "+
+			"commit to this report's figure, both measured by this harness on one 2-vCPU "+
+			"Xeon host. The embedded PR 10 baseline has no LSMOverwrite entry and came "+
+			"from a faster host: benchmarks whose code did not change read about 2x "+
+			"slower in this report.")
 
 	if *baseline != "" {
 		raw, err := os.ReadFile(*baseline)

@@ -127,12 +127,14 @@ type mesh struct {
 // meshPeer is one outbound connection. pend stages frames under the
 // engine lock; flushLocked moves them to out under the peer lock, and
 // the writer goroutine ping-pongs out against alt so a slow peer never
-// blocks the engine.
+// blocks the engine. Once the writer has exited (closed), flushLocked
+// drops staged frames instead, so a dead peer's out never grows.
 type meshPeer struct {
 	addr string
 	conn net.Conn
 
-	pend []byte // staged frames; engine lock held
+	pend       []byte // staged frames; engine lock held
+	pendFrames uint64 // frames in pend; engine lock held
 
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -177,21 +179,31 @@ func (m *mesh) send(from, to netsim.NodeID, payload any) {
 	if !ok {
 		panic(fmt.Sprintf("live: message %T to remote node %d has no wire form", payload, to))
 	}
+	p.pendFrames++
 }
 
-// flushLocked hands staged frames to the peer writers. Caller holds
-// the engine lock; peer locks are only ever taken inside it, never the
-// reverse, so the order is deadlock-free.
+// flushLocked hands staged frames to the peer writers. Frames staged
+// for a peer whose writer has exited are dropped and counted in the
+// traffic meter. Caller holds the engine lock; peer locks are only ever
+// taken inside it, never the reverse, so the order is deadlock-free.
 func (m *mesh) flushLocked() {
 	for _, p := range m.peers {
 		if len(p.pend) == 0 {
 			continue
 		}
 		p.mu.Lock()
-		p.out = append(p.out, p.pend...)
+		dead := p.closed
+		if !dead {
+			p.out = append(p.out, p.pend...)
+		}
 		p.mu.Unlock()
-		p.cond.Signal()
+		if dead {
+			m.e.meter.Dropped += p.pendFrames
+		} else {
+			p.cond.Signal()
+		}
 		p.pend = p.pend[:0]
+		p.pendFrames = 0
 	}
 }
 

@@ -12,9 +12,13 @@
 //     Crash loses everything; Recover starts empty.
 //   - LSMEngine: a durable LSM-lite — append-only WAL, an in-memory
 //     memtable that flushes to immutable sorted runs, merge-reads across
-//     runs with tombstone handling, and size-tiered compaction. Crash
-//     loses only the un-fsynced WAL tail; Recover reloads the runs and
-//     replays the durable WAL prefix.
+//     runs with tombstone handling, and size-tiered compaction as one
+//     newest-run-wins merge pass over the already-sorted runs. A
+//     resident index (each key's resident version and size) admits
+//     writes without a merge-read and answers misses without probing
+//     runs. Crash loses only the un-fsynced WAL tail (and the index);
+//     Recover rebuilds the index from the runs and replays the durable
+//     WAL prefix.
 package storage
 
 import "repro/internal/ring"

@@ -1,6 +1,10 @@
 package storage
 
-import "sort"
+import (
+	"slices"
+	"sort"
+	"strings"
+)
 
 // runEntry is one key's cell inside an immutable sorted run.
 type runEntry struct {
@@ -24,33 +28,48 @@ func (r *run) find(key string) (Cell, bool) {
 	return Cell{}, false
 }
 
+// residentEntry is the resident index's record of one key: the version
+// and size of the cell a read of that key returns.
+type residentEntry struct {
+	version Version
+	size    uint32
+}
+
 // LSMEngine is the durable LSM-lite engine: an append-only WAL ahead of
 // an in-memory memtable, immutable sorted runs sealed by flushes, and
 // size-tiered compaction merging runs once enough accumulate.
+//
+// A resident index maps every key to the version and size of its
+// resident cell. Apply admits a write with one index lookup instead of a
+// merge-read, Peek answers a miss for an unknown key without probing any
+// run, and the byte accounting reads sizes from it.
 //
 // Reads merge across the memtable and the runs newest-first. Because
 // Apply enforces last-write-wins against the resident version before
 // admitting a cell, a memtable entry always supersedes every run entry
 // for its key, and a newer run's entry always supersedes an older run's —
 // so the first hit in memtable → newest run → ... → oldest run order is
-// the resident cell.
+// the resident cell, and compaction is a newest-run-wins merge of
+// already-sorted runs.
 //
-// Crash drops the memtable and the un-fsynced WAL tail; the runs and the
-// fsynced WAL prefix survive. Recover reloads the runs and replays that
-// prefix, stopping at the first torn or corrupt record (consistent-prefix
-// recovery); whatever was lost past the durability point comes back via
-// hinted handoff and anti-entropy, exactly like a lagging replica.
+// Crash drops the memtable, the resident index and the un-fsynced WAL
+// tail; the runs and the fsynced WAL prefix survive. Recover rebuilds the
+// index from the runs and replays that prefix, stopping at the first torn
+// or corrupt record (consistent-prefix recovery); whatever was lost past
+// the durability point comes back via hinted handoff and anti-entropy,
+// exactly like a lagging replica.
 //
 // Tombstones flow through WAL, memtable, runs and compaction like any
 // other cell: compaction keeps them even when they win (no GC grace
 // tracking here), so a late out-of-order write older than the deletion
 // still loses — the property that keeps replica application commutative.
 type LSMEngine struct {
-	opts Options
-	wal  walog
-	mem  map[string]Cell
-	runs []run // oldest first
-	keys keyIndex
+	opts     Options
+	wal      walog
+	mem      map[string]Cell
+	runs     []run // oldest first
+	keys     keyIndex
+	resident map[string]residentEntry // resident index: every key, memtable and runs
 
 	memBytes    int64
 	totalBytes  int64
@@ -69,7 +88,7 @@ func NewLSMEngine(opts Options) *LSMEngine {
 	if opts.MaxRuns <= 0 {
 		opts.MaxRuns = 4
 	}
-	e := &LSMEngine{opts: opts, mem: make(map[string]Cell)}
+	e := &LSMEngine{opts: opts, mem: make(map[string]Cell), resident: make(map[string]residentEntry)}
 	if opts.Path != "" {
 		w, err := newFileWAL(opts.Path)
 		if err != nil {
@@ -88,10 +107,14 @@ func (e *LSMEngine) Get(key string) (Cell, bool) {
 	return e.Peek(key)
 }
 
-// Peek is Get without touching the read counters.
+// Peek is Get without touching the read counters. A key the resident
+// index does not hold is a miss without probing any run.
 func (e *LSMEngine) Peek(key string) (Cell, bool) {
 	if c, ok := e.mem[key]; ok {
 		return c, ok
+	}
+	if _, ok := e.resident[key]; !ok {
+		return Cell{}, false
 	}
 	for i := len(e.runs) - 1; i >= 0; i-- {
 		if c, ok := e.runs[i].find(key); ok {
@@ -101,35 +124,33 @@ func (e *LSMEngine) Peek(key string) (Cell, bool) {
 	return Cell{}, false
 }
 
-// Apply merges cell into the engine under last-write-wins: the accepted
-// cell is WAL-logged before it lands in the memtable.
+// Apply merges cell into the engine under last-write-wins, judged
+// against the resident index: the accepted cell is WAL-logged before it
+// lands in the memtable.
 func (e *LSMEngine) Apply(key string, c Cell) bool {
 	if !e.replaying {
 		e.stats.Writes++
 	}
-	old, exists := e.Peek(key)
-	if exists && !c.Version.After(old.Version) {
+	old, exists := e.resident[key]
+	if exists && !c.Version.After(old.version) {
 		if !e.replaying {
 			e.stats.Rejected++
 		}
 		return false
 	}
 	e.logRecord(key, c)
-	_, inMem := e.mem[key]
+	size := int64(c.Size())
+	if prev, inMem := e.mem[key]; inMem {
+		e.memBytes += size - int64(prev.Size())
+	} else {
+		e.memBytes += size
+	}
 	e.mem[key] = c
 	if !exists {
 		e.keys.add(key)
 	}
-	delta := int64(c.Size())
-	if exists {
-		delta -= int64(old.Size())
-	}
-	e.totalBytes += delta
-	if inMem {
-		e.memBytes += delta
-	} else {
-		e.memBytes += int64(c.Size())
-	}
+	e.resident[key] = residentEntry{version: c.Version, size: uint32(size)}
+	e.totalBytes += size - int64(old.size)
 	if e.opts.FlushLimit > 0 && e.memBytes >= e.opts.FlushLimit {
 		e.Flush()
 	}
@@ -219,17 +240,12 @@ func (e *LSMEngine) Flush() {
 	if len(e.mem) == 0 {
 		return
 	}
-	keys := make([]string, 0, len(e.mem))
-	for k := range e.mem {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	r := run{entries: make([]runEntry, 0, len(keys))}
-	for _, k := range keys {
-		c := e.mem[k]
+	r := run{entries: make([]runEntry, 0, len(e.mem))}
+	for k, c := range e.mem {
 		r.entries = append(r.entries, runEntry{key: k, cell: c})
 		r.bytes += int64(c.Size())
 	}
+	slices.SortFunc(r.entries, func(a, b runEntry) int { return strings.Compare(a.key, b.key) })
 	e.runs = append(e.runs, r)
 	e.stats.Flushes++
 	e.stats.FlushedBytes += uint64(e.memBytes)
@@ -243,34 +259,27 @@ func (e *LSMEngine) Flush() {
 }
 
 // compact merges every run into one, keeping only the newest version per
-// key (size-tiered full merge — one tier, sized for this repo).
-// Tombstones survive the merge when they win; see the type comment.
+// key (size-tiered full merge — one tier, sized for this repo). The runs
+// are already sorted and newer runs hold newer versions (see the type
+// comment), so the merge is one pass of the snapshot iterator's
+// newest-run-wins merge into a run presized to the resident key count:
+// compaction only runs right after a flush, when every resident key
+// lives in the runs. Tombstones survive the merge when they win.
 func (e *LSMEngine) compact() {
 	if len(e.runs) <= 1 {
 		return
 	}
 	var inBytes int64
-	total := 0
 	for i := range e.runs {
 		inBytes += e.runs[i].bytes
-		total += len(e.runs[i].entries)
 	}
-	winners := make(map[string]Cell, total)
-	for i := range e.runs { // oldest → newest; newer entries supersede
-		for _, ent := range e.runs[i].entries {
-			if old, ok := winners[ent.key]; !ok || ent.cell.Version.After(old.Version) {
-				winners[ent.key] = ent.cell
-			}
+	it := newLSMSnapshot(e.runs)
+	merged := run{entries: make([]runEntry, 0, len(e.resident))}
+	for {
+		k, c, ok := it.Next()
+		if !ok {
+			break
 		}
-	}
-	keys := make([]string, 0, len(winners))
-	for k := range winners {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	merged := run{entries: make([]runEntry, 0, len(keys))}
-	for _, k := range keys {
-		c := winners[k]
 		merged.entries = append(merged.entries, runEntry{key: k, cell: c})
 		merged.bytes += int64(c.Size())
 	}
@@ -280,9 +289,9 @@ func (e *LSMEngine) compact() {
 	e.stats.CompactedBytes += uint64(inBytes)
 }
 
-// Crash kills the process: the memtable and the un-fsynced WAL tail are
-// lost; the sorted runs and the fsynced WAL prefix survive. The engine
-// is unusable until Recover.
+// Crash kills the process: the memtable, the resident index and the
+// un-fsynced WAL tail are lost; the sorted runs and the fsynced WAL
+// prefix survive. The engine is unusable until Recover.
 func (e *LSMEngine) Crash() {
 	e.crashed = true
 	e.stats.Crashes++
@@ -292,17 +301,20 @@ func (e *LSMEngine) Crash() {
 	e.mem = make(map[string]Cell)
 	e.memBytes, e.totalBytes = 0, 0
 	e.keys.reset()
+	clear(e.resident)
 }
 
-// Recover rebuilds the engine from durable state: the key index and size
-// accounting are recomputed from the runs, then the durable WAL prefix is
-// replayed record by record into a fresh memtable/WAL, stopping at the
-// first torn or corrupt record. Replayed mutations go through the normal
-// Apply path (minus the operation counters), so they are re-logged and
-// re-synced — the recovered state is durable again when Recover returns.
-// Recover is only meaningful after Crash; on a running engine it is a
-// no-op (re-running it would duplicate the key index and discard the
-// durable WAL).
+// Recover rebuilds the engine from durable state: the key list, the
+// resident index and the size accounting are recomputed from the runs
+// (oldest first, so each key ends on its newest run's entry), then the
+// durable WAL prefix is replayed record by record into a fresh
+// memtable/WAL, stopping at the first torn or corrupt record. Replayed
+// mutations go through the normal Apply path (minus the operation
+// counters), so they update the index and are re-logged and re-synced —
+// the recovered state is durable again when Recover returns. Recover is
+// only meaningful after Crash; on a running engine it is a no-op
+// (re-running it would duplicate the key list and discard the durable
+// WAL).
 func (e *LSMEngine) Recover() RecoverStats {
 	if !e.crashed {
 		return RecoverStats{}
@@ -311,22 +323,17 @@ func (e *LSMEngine) Recover() RecoverStats {
 	e.stats.Replays++
 	rs := RecoverStats{RunsLoaded: len(e.runs)}
 
-	// Rebuild index and accounting from the runs (oldest first: the
-	// resident winner per key is the newest run's entry).
-	winners := make(map[string]Cell)
 	for i := range e.runs {
 		rs.RunEntries += len(e.runs[i].entries)
 		for _, ent := range e.runs[i].entries {
-			if old, ok := winners[ent.key]; !ok {
+			if _, ok := e.resident[ent.key]; !ok {
 				e.keys.add(ent.key)
-				winners[ent.key] = ent.cell
-			} else if ent.cell.Version.After(old.Version) {
-				winners[ent.key] = ent.cell
 			}
+			e.resident[ent.key] = residentEntry{version: ent.cell.Version, size: uint32(ent.cell.Size())}
 		}
 	}
-	for _, c := range winners {
-		e.totalBytes += int64(c.Size())
+	for _, r := range e.resident {
+		e.totalBytes += int64(r.size)
 	}
 
 	// Replay the durable WAL prefix through the normal apply path.

@@ -84,6 +84,16 @@ type lsmSnapshot struct {
 	remaining int
 }
 
+// newLSMSnapshot merge-iterates runs (oldest first). The run headers are
+// copied, so the caller may replace its own slice afterwards.
+func newLSMSnapshot(runs []run) *lsmSnapshot {
+	s := &lsmSnapshot{runs: append([]run(nil), runs...), pos: make([]int, len(runs))}
+	for i := range runs {
+		s.remaining += len(runs[i].entries)
+	}
+	return s
+}
+
 func (s *lsmSnapshot) Next() (string, Cell, bool) {
 	// Find the smallest resident key across runs; among equal keys the
 	// newest run (highest index) wins and the older entries are skipped.
@@ -127,12 +137,7 @@ func (s *lsmSnapshot) Remaining() int { return s.remaining }
 // references.
 func (e *LSMEngine) Snapshot() SnapshotIter {
 	e.Flush()
-	runs := append([]run(nil), e.runs...)
-	s := &lsmSnapshot{runs: runs, pos: make([]int, len(runs))}
-	for i := range runs {
-		s.remaining += len(runs[i].entries)
-	}
-	return s
+	return newLSMSnapshot(e.runs)
 }
 
 // SnapshotRanges returns a point-in-time iterator restricted to the

@@ -98,6 +98,11 @@ func decodeWALRecord(log []byte, off int) (key string, c Cell, n int, err error)
 	p = p[keyLen:]
 	c.Version.Timestamp = time.Duration(binary.BigEndian.Uint64(p))
 	c.Version.Seq = binary.BigEndian.Uint64(p[8:])
+	if p[16] > 1 {
+		// The encoder writes only 0 or 1; any other flag byte would not
+		// re-encode to the record it came from.
+		return "", Cell{}, 0, errCorruptRecord
+	}
 	c.Tombstone = p[16] == 1
 	valLen := int(binary.BigEndian.Uint32(p[17:]))
 	p = p[21:]

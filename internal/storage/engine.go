@@ -15,10 +15,9 @@
 //     runs with tombstone handling, and size-tiered compaction as one
 //     newest-run-wins merge pass over the already-sorted runs. A
 //     resident index (each key's resident version and size) admits
-//     writes without a merge-read and answers misses without probing
-//     runs. Crash loses only the un-fsynced WAL tail (and the index);
-//     Recover rebuilds the index from the runs and replays the durable
-//     WAL prefix.
+//     writes without a merge-read. Crash loses only the un-fsynced WAL
+//     tail (and the index); Recover rebuilds the index from the runs and
+//     replays the durable WAL prefix.
 package storage
 
 import "repro/internal/ring"

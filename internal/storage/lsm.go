@@ -41,8 +41,7 @@ type residentEntry struct {
 //
 // A resident index maps every key to the version and size of its
 // resident cell. Apply admits a write with one index lookup instead of a
-// merge-read, Peek answers a miss for an unknown key without probing any
-// run, and the byte accounting reads sizes from it.
+// merge-read, and the byte accounting reads sizes from it.
 //
 // Reads merge across the memtable and the runs newest-first. Because
 // Apply enforces last-write-wins against the resident version before
@@ -107,14 +106,10 @@ func (e *LSMEngine) Get(key string) (Cell, bool) {
 	return e.Peek(key)
 }
 
-// Peek is Get without touching the read counters. A key the resident
-// index does not hold is a miss without probing any run.
+// Peek is Get without touching the read counters.
 func (e *LSMEngine) Peek(key string) (Cell, bool) {
 	if c, ok := e.mem[key]; ok {
 		return c, ok
-	}
-	if _, ok := e.resident[key]; !ok {
-		return Cell{}, false
 	}
 	for i := len(e.runs) - 1; i >= 0; i-- {
 		if c, ok := e.runs[i].find(key); ok {

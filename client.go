@@ -2,10 +2,13 @@ package repro
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"sync"
 	"time"
 
 	"repro/internal/kv"
+	"repro/internal/ycsb"
 )
 
 // PutOp is one item of a multi-key batch mutation; Delete issues a
@@ -24,11 +27,12 @@ var (
 	ErrCanceled = kv.ErrCanceled
 )
 
-// Client is the unified, context-aware surface both backends implement:
-// the simulated deployment (Sim.Client) and the live deployment
-// (Live.Client) serve the identical API, so examples, tools, workload
-// drivers and embedding services are written once. Blocking forms return
-// when the result is in; *Async forms return a Future immediately.
+// Client is the unified, context-aware surface of both backends: the
+// simulated deployment (Sim.Client) and the live deployment
+// (Live.Client) serve it through one implementation, so examples,
+// tools, workload drivers and embedding services are written once.
+// Blocking forms return when the result is in; *Async forms return a
+// Future immediately.
 // Multi-key Batch operations are coordinated as true batches in the
 // store — one coordinator admission and at most one request message per
 // replica per batch — not as N independent operations.
@@ -194,4 +198,180 @@ func failedBatchWrites(ops []PutOp, err error) []WriteResult {
 		out[i] = WriteResult{Err: err, Key: op.Key}
 	}
 	return out
+}
+
+// driver adapts one backend to the shared Client implementation: the
+// simulated and live clients differ in these three places only.
+type driver struct {
+	// pump advances the single-threaded simulator by one event and
+	// reports false once none is left. It is nil live, where store
+	// callbacks resolve futures on engine goroutines.
+	pump func() bool
+	// do runs fn with exclusive access to the store: inline in the
+	// simulator, under the engine lock live.
+	do func(fn func())
+	// arm runs fail after d, a no-op once the operation's future has
+	// resolved: virtual time in the simulator, wall time live.
+	arm func(d time.Duration, fail func())
+}
+
+// liveRunWatchdog bounds a live Client.Run; a simulated run that cannot
+// finish fails as soon as its event queue runs dry instead.
+const liveRunWatchdog = 10 * time.Minute
+
+// client implements Client over a driver.
+type client struct {
+	drv     driver
+	cluster *kv.Cluster
+	net     kv.Transport // the workload runner's clock and timers
+	sess    Session
+}
+
+func (c *client) Session() Session { return c.sess }
+
+func (c *client) Get(ctx context.Context, key string, opts ...OpOption) ReadResult {
+	return c.GetAsync(ctx, key, opts...).Wait(ctx)
+}
+
+func (c *client) Put(ctx context.Context, key string, value []byte, opts ...OpOption) WriteResult {
+	return c.PutAsync(ctx, key, value, opts...).Wait(ctx)
+}
+
+func (c *client) Delete(ctx context.Context, key string, opts ...OpOption) WriteResult {
+	return c.DeleteAsync(ctx, key, opts...).Wait(ctx)
+}
+
+func (c *client) BatchGet(ctx context.Context, keys []string, opts ...OpOption) []ReadResult {
+	return c.BatchGetAsync(ctx, keys, opts...).Wait(ctx)
+}
+
+func (c *client) BatchPut(ctx context.Context, ops []PutOp, opts ...OpOption) []WriteResult {
+	return c.BatchPutAsync(ctx, ops, opts...).Wait(ctx)
+}
+
+// issue starts one operation: it fails at once on a canceled context,
+// otherwise runs start with exclusive store access and arms the
+// operation's deadline. start gets the level override (nil: use the
+// session) and the future's resolver.
+func issue[T any](c *client, ctx context.Context, opts []OpOption, fail func(error) T,
+	start func(lvl *Level, done func(T))) *Future[T] {
+	o := resolveOpts(opts)
+	f := newFuture(c.drv.pump, fail)
+	if ctx.Err() != nil {
+		f.resolve(fail(ErrCanceled))
+		return f
+	}
+	c.drv.do(func() { start(o.level, f.resolve) })
+	if o.deadline > 0 {
+		c.drv.arm(o.deadline, func() { f.resolve(fail(ErrDeadline)) })
+	}
+	return f
+}
+
+func (c *client) GetAsync(ctx context.Context, key string, opts ...OpOption) *ReadFuture {
+	return issue(c, ctx, opts, func(err error) ReadResult { return ReadResult{Err: err, Key: key} },
+		func(lvl *Level, done func(ReadResult)) {
+			if lvl != nil {
+				c.cluster.Read(key, *lvl, done)
+			} else {
+				c.sess.Read(key, done)
+			}
+		})
+}
+
+func (c *client) PutAsync(ctx context.Context, key string, value []byte, opts ...OpOption) *WriteFuture {
+	return issue(c, ctx, opts, func(err error) WriteResult { return WriteResult{Err: err, Key: key} },
+		func(lvl *Level, done func(WriteResult)) {
+			if lvl != nil {
+				c.cluster.Write(key, value, *lvl, done)
+			} else {
+				c.sess.Write(key, value, done)
+			}
+		})
+}
+
+func (c *client) DeleteAsync(ctx context.Context, key string, opts ...OpOption) *WriteFuture {
+	return issue(c, ctx, opts, func(err error) WriteResult { return WriteResult{Err: err, Key: key} },
+		func(lvl *Level, done func(WriteResult)) {
+			if lvl != nil {
+				c.cluster.Delete(key, *lvl, done)
+			} else {
+				c.sess.Delete(key, done)
+			}
+		})
+}
+
+func (c *client) BatchGetAsync(ctx context.Context, keys []string, opts ...OpOption) *BatchGetFuture {
+	return issue(c, ctx, opts, func(err error) []ReadResult { return failedBatchReads(keys, err) },
+		func(lvl *Level, done func([]ReadResult)) {
+			if lvl != nil {
+				c.cluster.ReadBatch(keys, *lvl, done)
+			} else {
+				c.sess.BatchRead(keys, done)
+			}
+		})
+}
+
+func (c *client) BatchPutAsync(ctx context.Context, ops []PutOp, opts ...OpOption) *BatchPutFuture {
+	return issue(c, ctx, opts, func(err error) []WriteResult { return failedBatchWrites(ops, err) },
+		func(lvl *Level, done func([]WriteResult)) {
+			if lvl != nil {
+				c.cluster.WriteBatch(ops, *lvl, done)
+			} else {
+				c.sess.BatchWrite(ops, done)
+			}
+		})
+}
+
+// Run drives a workload to completion. The runner issues and accounts
+// operations entirely with exclusive store access (Start runs inside
+// do; completions run inside engine handlers), so the session is driven
+// the same way on both backends. A run that cannot finish fails the
+// backend's way: the simulator's event queue runs dry, or the live
+// watchdog expires.
+func (c *client) Run(w Workload, o RunOptions) (*Metrics, error) {
+	var r *ycsb.Runner
+	var err error
+	done := newFuture(c.drv.pump, func(error) error {
+		return errors.New("repro: workload stalled before completion")
+	})
+	c.drv.do(func() {
+		r, err = ycsb.NewRunner(c.sess, w, c.net, c.cluster.Config().Seed)
+		if err != nil {
+			return
+		}
+		applyRunOptions(r, o)
+		r.OnDone = func() { done.resolve(nil) }
+		if !o.NoPreload {
+			c.cluster.Preload(w.RecordCount, r.Keys, r.Value())
+		}
+		r.Start()
+	})
+	if err != nil {
+		return nil, err
+	}
+	if c.drv.pump == nil {
+		c.drv.arm(liveRunWatchdog, func() {
+			done.resolve(fmt.Errorf("repro: live workload did not finish within %v", liveRunWatchdog))
+		})
+	}
+	if err := done.Wait(context.Background()); err != nil {
+		return nil, err
+	}
+	var m *Metrics
+	c.drv.do(func() { m = r.Metrics() })
+	return m, nil
+}
+
+// applyRunOptions maps RunOptions onto a runner.
+func applyRunOptions(r *ycsb.Runner, o RunOptions) {
+	if o.Ops > 0 {
+		r.OpCount = o.Ops
+	}
+	if o.Threads > 0 {
+		r.Threads = o.Threads
+	}
+	r.BatchSize = o.BatchSize
+	r.WarmupOps = o.WarmupOps
+	r.OpenLoopRate = o.OpenLoopRate
 }

@@ -891,9 +891,7 @@ func main() {
 			"(PR 12): 50k keys, 100 B values, 1 MiB flush limit, uniform overwrites. "+
 			"Merge compaction and the resident index took it from 4.27 µs/op at the parent "+
 			"commit to this report's figure, both measured by this harness on one 2-vCPU "+
-			"Xeon host. The embedded PR 10 baseline has no LSMOverwrite entry and came "+
-			"from a faster host: benchmarks whose code did not change read about 2x "+
-			"slower in this report.")
+			"Xeon host.")
 
 	if *baseline != "" {
 		raw, err := os.ReadFile(*baseline)

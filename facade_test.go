@@ -277,6 +277,33 @@ func TestLiveClient(t *testing.T) {
 	}
 }
 
+// TestLiveClientGuardTimeout drives live single-key ops through kv's
+// client guard: the only coordinator drops all traffic at the engine
+// level, before the cluster's failure detector knows, so it keeps
+// being picked and never replies. Get and Put must each resolve with
+// ErrTimeout once the guard (twice Config.Timeout, latency-scaled)
+// fires, well within a wall-clock bound.
+func TestLiveClientGuardTimeout(t *testing.T) {
+	topo := repro.SingleDC(4)
+	cfg := repro.Defaults(topo)
+	cfg.Seed = 11
+	cfg.Timeout = 20 * time.Millisecond
+	cfg.Coordinators = []repro.NodeID{0}
+	lv := repro.NewLive(topo, cfg, 0.5)
+	defer lv.Close()
+	lv.Engine.Do(func() { lv.Engine.Fail(0) })
+
+	// A guard that never fires shows up as the context's error.
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	cli := lv.StaticClient(repro.Quorum, repro.Quorum)
+	w := cli.Put(ctx, "k", []byte("v"))
+	r := cli.Get(ctx, "k")
+	if !errors.Is(w.Err, repro.ErrTimeout) || !errors.Is(r.Err, repro.ErrTimeout) {
+		t.Fatalf("ops through a silent coordinator: put %v, get %v; want ErrTimeout", w.Err, r.Err)
+	}
+}
+
 func TestCountLevelClamp(t *testing.T) {
 	if repro.Count(0) != repro.One || repro.Count(1) != repro.One {
 		t.Error("Count must clamp to ONE")

@@ -45,7 +45,7 @@ func (c *Cluster) ReadBatch(keys []string, lvl Level, cb func([]ReadResult)) {
 	}
 	c.net.Send(netsim.ClientID, coord,
 		clientBatchRead{ID: id, Keys: keys, Level: lvl, cb: once}, size)
-	stopGuard = c.armGuard(func() {
+	stopGuard = c.stopNet.ScheduleStop(2*c.cfg.Timeout, func() {
 		once(failedReads(keys, lvl, ErrTimeout, 2*c.cfg.Timeout))
 	})
 }
@@ -81,7 +81,7 @@ func (c *Cluster) WriteBatch(ops []BatchOp, lvl Level, cb func([]WriteResult)) {
 	}
 	c.net.Send(netsim.ClientID, coord,
 		clientBatchWrite{ID: id, Ops: ops, Level: lvl, cb: once}, size)
-	stopGuard = c.armGuard(func() {
+	stopGuard = c.stopNet.ScheduleStop(2*c.cfg.Timeout, func() {
 		once(failedWrites(ops, lvl, ErrTimeout, 2*c.cfg.Timeout))
 	})
 }

@@ -7,19 +7,17 @@ import (
 	"repro/internal/sim"
 )
 
-// This file holds the pooled client-operation state. Issuing an
-// operation used to allocate a handful of closures (the once-gate, the
-// guard callback, the cancel wrapper); on a cache-served hot-key read
-// that plumbing was a third of the total cost. Ops now live in a slab on
-// the Cluster, message boxes carry a slab index + generation instead of
-// a callback closure, and the guard timer is armed through the
-// network's pre-bound-callback surface — so the steady-state client path
+// This file holds the pooled client-operation state, the one path every
+// single-key Read, Write and Delete takes. Ops live in a slab on the
+// Cluster, message boxes carry a slab index + generation instead of a
+// callback closure, and the guard timer is armed through the network's
+// pre-bound-callback surface — so the steady-state client path
 // allocates nothing beyond the pooled message boxes.
 
-// callStopper is the optional zero-allocation guard surface of a
-// Network: arm cb(arg) after d with a value-typed cancelable handle.
-// netsim.Transport implements it over the sim engine; networks without
-// it fall back to the closure-based client path.
+// callStopper is the zero-allocation guard surface a Network must
+// have: arm cb(arg) after d with a value-typed cancelable handle.
+// netsim.Transport and live.Engine both implement it over a sim engine
+// heap; kv.New panics on a network without it.
 type callStopper interface {
 	ScheduleStopCall(d time.Duration, cb func(uint32), arg uint32) sim.Timer
 }

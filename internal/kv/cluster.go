@@ -39,10 +39,10 @@ type failer interface {
 	Recover(id netsim.NodeID)
 }
 
-// stopper is the optional cancelable-timer surface of a Network. Client
-// guard timers almost always outlive their operation; engines that
-// support cancellation reclaim them on completion instead of carrying
-// them to expiry as no-ops.
+// stopper is the cancelable-timer surface a Network must have (beside
+// callStopper, clientop.go). Client guard timers almost always outlive
+// their operation, so completion cancels them instead of carrying them
+// to expiry as no-ops. Batches arm their guards through it.
 type stopper interface {
 	ScheduleStop(d time.Duration, fn func()) func()
 }
@@ -305,11 +305,11 @@ type Cluster struct {
 	down    map[netsim.NodeID]bool
 	rr      int
 	rng     *stats.Source
-	stopNet stopper // non-nil when net supports cancelable timers
+	stopNet stopper // arms batch guard timers
 
-	// Pooled client-op slab (clientop.go): non-nil callStop selects the
-	// zero-allocation client path; guardCb is the pre-bound timeout
-	// callback shared by every guard timer.
+	// Pooled client-op slab (clientop.go): callStop arms each
+	// single-key op's guard timer with guardCb, the pre-bound timeout
+	// callback they all share.
 	ops      []clientOp
 	opFree   int32
 	callStop callStopper
@@ -371,8 +371,12 @@ func New(topo *netsim.Topology, net Network, cfg Config) *Cluster {
 		down:    make(map[netsim.NodeID]bool),
 		rng:     stats.NewSource(cfg.Seed).Stream("kv.cluster"),
 	}
-	c.stopNet, _ = net.(stopper)
-	c.callStop, _ = net.(callStopper)
+	var okStop, okCall bool
+	c.stopNet, okStop = net.(stopper)
+	c.callStop, okCall = net.(callStopper)
+	if !okStop || !okCall {
+		panic(fmt.Sprintf("kv: transport %T lacks cancelable timers (ScheduleStop and ScheduleStopCall)", net))
+	}
 	c.guardCb = c.guardFired
 	c.opFree = noOp
 	if cfg.HotCache {
@@ -560,20 +564,12 @@ func (c *Cluster) handleClientReply(_ netsim.NodeID, payload any) {
 		v := *m
 		*m = clientReadReply{}
 		clientReadReplyPool.Put(m)
-		if v.rt.cb != nil {
-			v.rt.cb(v.res)
-		} else {
-			c.opCompleteRead(v.rt.op, v.rt.opGen, v.res)
-		}
+		c.opCompleteRead(v.rt.op, v.rt.opGen, v.res)
 	case *clientWriteReply:
 		v := *m
 		*m = clientWriteReply{}
 		clientWriteRplPool.Put(m)
-		if v.rt.cb != nil {
-			v.rt.cb(v.res)
-		} else {
-			c.opCompleteWrite(v.rt.op, v.rt.opGen, v.res)
-		}
+		c.opCompleteWrite(v.rt.op, v.rt.opGen, v.res)
 	case clientBatchReadReply:
 		m.cb(m.res)
 	case clientBatchWriteReply:
@@ -592,26 +588,7 @@ func (c *Cluster) Read(key string, lvl Level, cb func(ReadResult)) {
 		cb(ReadResult{Err: ErrUnavailable, Key: key, Level: lvl})
 		return
 	}
-	if c.callStop != nil {
-		c.sendOpRead(id, coord, key, lvl, cb)
-		return
-	}
-	done := false
-	var stopGuard func()
-	once := func(r ReadResult) {
-		if !done {
-			done = true
-			if stopGuard != nil {
-				stopGuard()
-			}
-			cb(r)
-		}
-	}
-	c.net.Send(netsim.ClientID, coord, newClientRead(clientRead{ID: id, Key: key, Level: lvl, rt: readRoute{cb: once}}),
-		msgOverhead+len(key))
-	stopGuard = c.armGuard(func() {
-		once(ReadResult{Err: ErrTimeout, Key: key, Level: lvl, Latency: 2 * c.cfg.Timeout})
-	})
+	c.sendOpRead(id, coord, key, lvl, cb)
 }
 
 // Write issues an asynchronous write at the given consistency level; the
@@ -623,26 +600,7 @@ func (c *Cluster) Write(key string, value []byte, lvl Level, cb func(WriteResult
 		cb(WriteResult{Err: ErrUnavailable, Key: key, Level: lvl})
 		return
 	}
-	if c.callStop != nil {
-		c.sendOpWrite(id, coord, key, value, lvl, false, cb)
-		return
-	}
-	done := false
-	var stopGuard func()
-	once := func(r WriteResult) {
-		if !done {
-			done = true
-			if stopGuard != nil {
-				stopGuard()
-			}
-			cb(r)
-		}
-	}
-	c.net.Send(netsim.ClientID, coord, newClientWrite(clientWrite{ID: id, Key: key, Value: value, Level: lvl, rt: writeRoute{cb: once}}),
-		msgOverhead+len(key)+len(value))
-	stopGuard = c.armGuard(func() {
-		once(WriteResult{Err: ErrTimeout, Key: key, Level: lvl, Latency: 2 * c.cfg.Timeout})
-	})
+	c.sendOpWrite(id, coord, key, value, lvl, false, cb)
 }
 
 // Delete issues a tombstone write at the given consistency level:
@@ -655,38 +613,7 @@ func (c *Cluster) Delete(key string, lvl Level, cb func(WriteResult)) {
 		cb(WriteResult{Err: ErrUnavailable, Key: key, Level: lvl})
 		return
 	}
-	if c.callStop != nil {
-		c.sendOpWrite(id, coord, key, nil, lvl, true, cb)
-		return
-	}
-	done := false
-	var stopGuard func()
-	once := func(r WriteResult) {
-		if !done {
-			done = true
-			if stopGuard != nil {
-				stopGuard()
-			}
-			cb(r)
-		}
-	}
-	c.net.Send(netsim.ClientID, coord,
-		newClientWrite(clientWrite{ID: id, Key: key, Level: lvl, rt: writeRoute{cb: once}, tombstone: true}),
-		msgOverhead+len(key))
-	stopGuard = c.armGuard(func() {
-		once(WriteResult{Err: ErrTimeout, Key: key, Level: lvl, Latency: 2 * c.cfg.Timeout})
-	})
-}
-
-// armGuard schedules the client-side no-later-than timer for an
-// operation, returning a cancel function (nil when the network cannot
-// cancel; the timer then fires as a no-op after completion).
-func (c *Cluster) armGuard(fn func()) func() {
-	if c.stopNet != nil {
-		return c.stopNet.ScheduleStop(2*c.cfg.Timeout, fn)
-	}
-	c.net.Schedule(2*c.cfg.Timeout, fn)
-	return nil
+	c.sendOpWrite(id, coord, key, nil, lvl, true, cb)
 }
 
 func (c *Cluster) nextReqID() reqID {

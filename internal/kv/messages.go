@@ -19,18 +19,15 @@ const msgOverhead = 64
 const digestSize = 16
 
 // readRoute says how a read result finds its way back to the issuing
-// client: a direct callback, or — when cb is nil — a slot in the
-// cluster's pooled op slab (the zero-allocation path; opGen catches
-// replies that outlive a timed-out, recycled slot).
+// client: a slot in the cluster's pooled op slab (clientop.go), with
+// opGen catching replies that outlive a timed-out, recycled slot.
 type readRoute struct {
-	cb    func(ReadResult)
 	op    uint32
 	opGen uint32
 }
 
 // writeRoute is the write counterpart of readRoute.
 type writeRoute struct {
-	cb    func(WriteResult)
 	op    uint32
 	opGen uint32
 }

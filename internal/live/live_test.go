@@ -3,6 +3,7 @@ package live
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -96,19 +97,93 @@ func TestLiveFailureAndRecovery(t *testing.T) {
 	eng.Do(func() { cl.Recover(reps[0]) })
 }
 
+// TestLiveCloseStopsDelivery arms a timer, a delayed self-message and an
+// in-flight quorum read, closes the engine before any of them is due,
+// and waits past every deadline: nothing may run once Close returns.
 func TestLiveCloseStopsDelivery(t *testing.T) {
 	eng, cl := newLiveCluster(4)
-	delivered := make(chan struct{}, 1)
+	var closed, late atomic.Bool
+	ran := func() {
+		if closed.Load() {
+			late.Store(true)
+		}
+	}
+	const probe = netsim.NodeID(100)
 	eng.Do(func() {
-		cl.Read("k", kv.One, func(kv.ReadResult) { delivered <- struct{}{} })
+		eng.Register(probe, func(netsim.NodeID, any) { ran() })
+		eng.SendLocal(probe, "tick", 50*time.Millisecond)
+		eng.Schedule(50*time.Millisecond, ran)
+		cl.Read("k", kv.Quorum, func(kv.ReadResult) { ran() })
 	})
 	eng.Close()
-	select {
-	case <-delivered:
-		// Acceptable: the reply raced Close.
-	case <-time.After(200 * time.Millisecond):
-		// Also acceptable: closed engines drop in-flight work.
+	closed.Store(true)
+	time.Sleep(100 * time.Millisecond) // past every deadline, scaled 0.2
+	if late.Load() {
+		t.Fatal("a handler or scheduled function ran after Close returned")
 	}
+}
+
+// TestLiveTimerContract pins the engine's timer heap semantics: a
+// ScheduleStop or ScheduleStopCall timer stopped before its deadline
+// never runs, timers armed with equal delays fire in scheduling order,
+// and a delayed SendLocal is not delivered before its deadline.
+func TestLiveTimerContract(t *testing.T) {
+	eng := New(netsim.SingleDC(1), 1)
+	defer eng.Close()
+	const delay = 20 * time.Millisecond
+	const probe = netsim.NodeID(0)
+	const timers = 6
+
+	// Callbacks run under the engine lock; the test reads what they
+	// record inside Do once both channels have closed.
+	var order []int
+	var canceled bool
+	var sentAt, gotAt time.Duration
+	fired, delivered := make(chan struct{}), make(chan struct{})
+	record := func(i int) {
+		if order = append(order, i); len(order) == timers {
+			close(fired)
+		}
+	}
+	eng.Do(func() {
+		eng.Register(probe, func(netsim.NodeID, any) {
+			gotAt = eng.Now()
+			close(delivered)
+		})
+		stop := eng.ScheduleStop(delay/2, func() { canceled = true })
+		tm := eng.ScheduleStopCall(delay/2, func(uint32) { canceled = true }, 0)
+		for i := 0; i < timers; i++ {
+			if i%2 == 0 {
+				eng.Schedule(delay, func() { record(i) })
+			} else {
+				eng.ScheduleStopCall(delay, func(arg uint32) { record(int(arg)) }, uint32(i))
+			}
+		}
+		sentAt = eng.Now()
+		eng.SendLocal(probe, "tick", delay)
+		stop()
+		if !tm.Stop() {
+			t.Error("ScheduleStopCall timer could not be stopped before its deadline")
+		}
+	})
+	for _, ch := range []chan struct{}{fired, delivered} {
+		select {
+		case <-ch:
+		case <-time.After(5 * time.Second):
+			t.Fatal("delayed events never ran")
+		}
+	}
+	eng.Do(func() {
+		if canceled {
+			t.Error("a stopped timer ran")
+		}
+		if want := []int{0, 1, 2, 3, 4, 5}; fmt.Sprint(order) != fmt.Sprint(want) {
+			t.Errorf("equal-delay timers fired in order %v, want %v", order, want)
+		}
+		if gotAt-sentAt < delay {
+			t.Errorf("delayed SendLocal delivered after %v, before its %v deadline", gotAt-sentAt, delay)
+		}
+	})
 }
 
 func TestLiveMeterCounts(t *testing.T) {

@@ -21,10 +21,9 @@ import (
 // self-messages never do (coordinator selection is pinned to local
 // nodes via kv.Config.Coordinators).
 //
-// Delivery within a process uses the direct run queue rather than
-// per-message timers: the thread holding the engine lock drains the
-// queue before releasing it, preserving the serialized handler contract
-// at a fraction of the cost. Outbound frames accumulate per peer while
+// In-process sends take no emulated latency: they go straight on the
+// run queue, which the thread holding the engine lock drains before
+// releasing it. Outbound frames accumulate per peer while
 // the lock is held and are handed to a per-peer writer goroutine in one
 // batch at drain end — one wakeup and typically one syscall per
 // pipeline's worth of traffic.
@@ -45,8 +44,8 @@ type MeshConfig struct {
 	DialTimeout time.Duration
 }
 
-// NewMesh returns a serving-mode engine: direct in-process delivery,
-// wall-clock timers for real delays, and — when mc names peers — a TCP
+// NewMesh returns a serving-mode engine: immediate in-process delivery,
+// the engine's timer heap for real delays, and — when mc names peers — a TCP
 // mesh to the processes serving the rest of the ring. The engine clock
 // runs from the Unix epoch rather than process start, so coordinators
 // in different processes issue comparable last-write-wins timestamps
@@ -55,7 +54,7 @@ type MeshConfig struct {
 func NewMesh(topo *netsim.Topology, seed uint64, mc MeshConfig) (*Engine, error) {
 	e := New(topo, seed)
 	e.start = time.Unix(0, 0)
-	e.direct = true
+	e.latency = false
 	if len(mc.Local) > 0 {
 		e.localSet = make([]bool, topo.N())
 		for _, id := range mc.Local {
@@ -303,9 +302,7 @@ func (e *Engine) deliverBatch(batch []queuedMsg) {
 	if e.closed {
 		return
 	}
-	for _, q := range batch {
-		e.enqueue(q.to, q.from, q.payload)
-	}
+	e.runq = append(e.runq, batch...)
 	e.drain()
 }
 

@@ -107,6 +107,15 @@ func (e *Engine) Events() uint64 { return e.fired }
 // removed eagerly, so every pending event will fire).
 func (e *Engine) Pending() int { return len(e.heap) }
 
+// Next reports the time of the earliest queued event; ok is false when
+// nothing is queued.
+func (e *Engine) Next() (at time.Duration, ok bool) {
+	if len(e.heap) == 0 {
+		return 0, false
+	}
+	return e.heap[0].at, true
+}
+
 // alloc takes a slot from the free list (or grows the slab) and queues it
 // at time t with the next sequence number.
 func (e *Engine) alloc(t time.Duration) int32 {

@@ -1,8 +1,6 @@
 package repro
 
 import (
-	"context"
-	"fmt"
 	"time"
 
 	"repro/internal/autoscale"
@@ -10,7 +8,6 @@ import (
 	"repro/internal/kv"
 	"repro/internal/live"
 	"repro/internal/monitor"
-	"repro/internal/ycsb"
 )
 
 // Live is a deployment of the same store over wall-clock time and
@@ -44,7 +41,18 @@ func NewLive(topo *Topology, cfg Config, latencyScale float64) *Live {
 
 // Client wraps a session in the unified Client API. Operations may be
 // issued from any goroutine; the engine lock serializes store access.
-func (l *Live) Client(sess Session) Client { return &liveClient{live: l, sess: sess} }
+func (l *Live) Client(sess Session) Client {
+	return &client{sess: sess, cluster: l.Cluster, net: l.Engine, drv: driver{
+		do: l.Engine.Do,
+		// A client deadline is a promise in real time: it bypasses the
+		// engine, whose timers are compressed by the latency scale, and
+		// resolving a future touches no cluster state, so it needs no
+		// engine lock.
+		arm: func(d time.Duration, fail func()) {
+			time.AfterFunc(d, fail) //repolint:allow determinism live client deadlines are wall-clock promises, deliberately unscaled
+		},
+	}}
+}
 
 // StaticClient returns a client pinned to fixed levels.
 func (l *Live) StaticClient(read, write Level) Client {
@@ -153,168 +161,4 @@ func (l *Live) State(id NodeID) NodeState {
 func (l *Live) Close() {
 	l.Engine.Close()
 	l.Engine.Do(func() { l.Cluster.Close() })
-}
-
-// liveClient implements Client over the wall-clock engine. Futures are
-// resolved by store callbacks running under the engine lock; waiting
-// goroutines block on a channel, so any number of client goroutines can
-// operate concurrently.
-type liveClient struct {
-	live *Live
-	sess Session
-}
-
-func (c *liveClient) Session() Session { return c.sess }
-
-func (c *liveClient) Get(ctx context.Context, key string, opts ...OpOption) ReadResult {
-	return c.GetAsync(ctx, key, opts...).Wait(ctx)
-}
-
-func (c *liveClient) Put(ctx context.Context, key string, value []byte, opts ...OpOption) WriteResult {
-	return c.PutAsync(ctx, key, value, opts...).Wait(ctx)
-}
-
-func (c *liveClient) Delete(ctx context.Context, key string, opts ...OpOption) WriteResult {
-	return c.DeleteAsync(ctx, key, opts...).Wait(ctx)
-}
-
-func (c *liveClient) BatchGet(ctx context.Context, keys []string, opts ...OpOption) []ReadResult {
-	return c.BatchGetAsync(ctx, keys, opts...).Wait(ctx)
-}
-
-func (c *liveClient) BatchPut(ctx context.Context, ops []PutOp, opts ...OpOption) []WriteResult {
-	return c.BatchPutAsync(ctx, ops, opts...).Wait(ctx)
-}
-
-// armDeadline schedules a wall-clock deadline. It deliberately bypasses
-// the engine (whose timers are compressed by the latency scale): a
-// client deadline is a promise in real time, and resolving a future
-// touches no cluster state, so no engine lock is needed.
-func (c *liveClient) armDeadline(d time.Duration, fail func()) {
-	if d > 0 {
-		time.AfterFunc(d, fail) //repolint:allow determinism live client deadlines are wall-clock promises, deliberately unscaled
-	}
-}
-
-func (c *liveClient) GetAsync(ctx context.Context, key string, opts ...OpOption) *ReadFuture {
-	o := resolveOpts(opts)
-	f := newFuture(nil, func(err error) ReadResult { return ReadResult{Err: err, Key: key} })
-	if ctx.Err() != nil {
-		f.resolve(ReadResult{Err: ErrCanceled, Key: key})
-		return f
-	}
-	c.live.Engine.Do(func() {
-		if o.level != nil {
-			c.live.Cluster.Read(key, *o.level, f.resolve)
-		} else {
-			c.sess.Read(key, f.resolve)
-		}
-	})
-	c.armDeadline(o.deadline, func() { f.resolve(ReadResult{Err: ErrDeadline, Key: key}) })
-	return f
-}
-
-func (c *liveClient) PutAsync(ctx context.Context, key string, value []byte, opts ...OpOption) *WriteFuture {
-	o := resolveOpts(opts)
-	f := newFuture(nil, func(err error) WriteResult { return WriteResult{Err: err, Key: key} })
-	if ctx.Err() != nil {
-		f.resolve(WriteResult{Err: ErrCanceled, Key: key})
-		return f
-	}
-	c.live.Engine.Do(func() {
-		if o.level != nil {
-			c.live.Cluster.Write(key, value, *o.level, f.resolve)
-		} else {
-			c.sess.Write(key, value, f.resolve)
-		}
-	})
-	c.armDeadline(o.deadline, func() { f.resolve(WriteResult{Err: ErrDeadline, Key: key}) })
-	return f
-}
-
-func (c *liveClient) DeleteAsync(ctx context.Context, key string, opts ...OpOption) *WriteFuture {
-	o := resolveOpts(opts)
-	f := newFuture(nil, func(err error) WriteResult { return WriteResult{Err: err, Key: key} })
-	if ctx.Err() != nil {
-		f.resolve(WriteResult{Err: ErrCanceled, Key: key})
-		return f
-	}
-	c.live.Engine.Do(func() {
-		if o.level != nil {
-			c.live.Cluster.Delete(key, *o.level, f.resolve)
-		} else {
-			c.sess.Delete(key, f.resolve)
-		}
-	})
-	c.armDeadline(o.deadline, func() { f.resolve(WriteResult{Err: ErrDeadline, Key: key}) })
-	return f
-}
-
-func (c *liveClient) BatchGetAsync(ctx context.Context, keys []string, opts ...OpOption) *BatchGetFuture {
-	o := resolveOpts(opts)
-	f := newFuture(nil, func(err error) []ReadResult { return failedBatchReads(keys, err) })
-	if ctx.Err() != nil {
-		f.resolve(failedBatchReads(keys, ErrCanceled))
-		return f
-	}
-	c.live.Engine.Do(func() {
-		if o.level != nil {
-			c.live.Cluster.ReadBatch(keys, *o.level, f.resolve)
-		} else {
-			c.sess.BatchRead(keys, f.resolve)
-		}
-	})
-	c.armDeadline(o.deadline, func() { f.resolve(failedBatchReads(keys, ErrDeadline)) })
-	return f
-}
-
-func (c *liveClient) BatchPutAsync(ctx context.Context, ops []PutOp, opts ...OpOption) *BatchPutFuture {
-	o := resolveOpts(opts)
-	f := newFuture(nil, func(err error) []WriteResult { return failedBatchWrites(ops, err) })
-	if ctx.Err() != nil {
-		f.resolve(failedBatchWrites(ops, ErrCanceled))
-		return f
-	}
-	c.live.Engine.Do(func() {
-		if o.level != nil {
-			c.live.Cluster.WriteBatch(ops, *o.level, f.resolve)
-		} else {
-			c.sess.BatchWrite(ops, f.resolve)
-		}
-	})
-	c.armDeadline(o.deadline, func() { f.resolve(failedBatchWrites(ops, ErrDeadline)) })
-	return f
-}
-
-// Run drives a workload to completion over wall-clock time. The runner
-// issues and accounts operations entirely under the engine lock (Start
-// runs inside Do; completions run inside engine handlers), so the
-// session is driven exactly as in simulation.
-func (c *liveClient) Run(w Workload, o RunOptions) (*Metrics, error) {
-	var r *ycsb.Runner
-	var err error
-	done := make(chan struct{})
-	c.live.Engine.Do(func() {
-		r, err = ycsb.NewRunner(c.sess, w, c.live.Engine, c.live.Cluster.Config().Seed)
-		if err != nil {
-			return
-		}
-		applyRunOptions(r, o)
-		r.OnDone = func() { close(done) }
-		if !o.NoPreload {
-			c.live.Cluster.Preload(w.RecordCount, r.Keys, r.Value())
-		}
-		r.Start()
-	})
-	if err != nil {
-		return nil, err
-	}
-	select {
-	case <-done:
-	case <-time.After(10 * time.Minute): //repolint:allow determinism live-mode watchdog; the sim path never reaches this select
-		return nil, fmt.Errorf("repro: live workload did not finish within 10 minutes")
-	}
-	var m *Metrics
-	c.live.Engine.Do(func() { m = r.Metrics() })
-	return m, nil
 }

@@ -31,15 +31,16 @@ type ServeConfig struct {
 	DialTimeout time.Duration
 }
 
-// NewServing builds a serving deployment: the same Live store, but on
-// the direct-delivery engine (no per-message timers) with an optional
-// TCP mesh to the processes serving the rest of the ring. N processes
-// constructed over the same topology, seed and Config form one cluster:
-// every process computes the identical ring, coordinates operations on
-// its local nodes, and exchanges replica traffic with its peers as
-// framed binary messages (internal/wire). Gossip membership is not yet
-// supported across processes — membership is the static
-// InitialMembers/founders set.
+// NewServing builds a serving deployment: the same Live store, but
+// in-process messages take no emulated network latency (they go
+// straight on the engine's run queue), with an optional TCP mesh to the
+// processes serving the rest of the ring. N processes constructed over
+// the same topology, seed and Config form one cluster: every process
+// computes the identical ring, coordinates operations on its local
+// nodes, and exchanges replica traffic with its peers as framed binary
+// messages (internal/wire). Gossip membership is not yet supported
+// across processes — membership is the static InitialMembers/founders
+// set.
 func NewServing(topo *Topology, cfg Config, sc ServeConfig) (*Live, error) {
 	if cfg.Gossip && (sc.MeshListen != "" || len(sc.Peers) > 0) {
 		return nil, fmt.Errorf("repro: gossip membership is not supported across processes yet")

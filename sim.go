@@ -1,8 +1,6 @@
 package repro
 
 import (
-	"context"
-	"fmt"
 	"time"
 
 	"repro/internal/autoscale"
@@ -12,7 +10,6 @@ import (
 	"repro/internal/monitor"
 	"repro/internal/netsim"
 	"repro/internal/sim"
-	"repro/internal/ycsb"
 )
 
 // Sim is a fully wired simulated deployment: a deterministic
@@ -43,7 +40,13 @@ func NewSim(topo *Topology, cfg Config) *Sim {
 // Client wraps a session in the unified Client API. The client is
 // single-threaded like the simulation itself: blocking calls and
 // Future.Wait advance virtual time on the caller's goroutine.
-func (s *Sim) Client(sess Session) Client { return &simClient{sim: s, sess: sess} }
+func (s *Sim) Client(sess Session) Client {
+	return &client{sess: sess, cluster: s.Cluster, net: s.Transport, drv: driver{
+		pump: s.Engine.Step,
+		do:   func(fn func()) { fn() },
+		arm:  func(d time.Duration, fail func()) { s.Transport.Schedule(d, fail) },
+	}}
+}
 
 // StaticClient returns a client pinned to fixed levels.
 func (s *Sim) StaticClient(read, write Level) Client {
@@ -192,153 +195,3 @@ func (s *Sim) Now() time.Duration { return s.Engine.Now() }
 
 // StaleRate reports the oracle's measured stale-read fraction so far.
 func (s *Sim) StaleRate() float64 { return s.Cluster.Oracle().StaleRate() }
-
-// simClient implements Client over the discrete-event engine.
-type simClient struct {
-	sim  *Sim
-	sess Session
-}
-
-func (c *simClient) Session() Session { return c.sess }
-
-func (c *simClient) pump() bool { return c.sim.Engine.Step() }
-
-// armDeadline schedules a virtual-time deadline that resolves the
-// operation with ErrDeadline if it fires first.
-func (c *simClient) armDeadline(d time.Duration, fail func()) {
-	if d > 0 {
-		c.sim.Transport.Schedule(d, fail)
-	}
-}
-
-func (c *simClient) Get(ctx context.Context, key string, opts ...OpOption) ReadResult {
-	return c.GetAsync(ctx, key, opts...).Wait(ctx)
-}
-
-func (c *simClient) Put(ctx context.Context, key string, value []byte, opts ...OpOption) WriteResult {
-	return c.PutAsync(ctx, key, value, opts...).Wait(ctx)
-}
-
-func (c *simClient) Delete(ctx context.Context, key string, opts ...OpOption) WriteResult {
-	return c.DeleteAsync(ctx, key, opts...).Wait(ctx)
-}
-
-func (c *simClient) BatchGet(ctx context.Context, keys []string, opts ...OpOption) []ReadResult {
-	return c.BatchGetAsync(ctx, keys, opts...).Wait(ctx)
-}
-
-func (c *simClient) BatchPut(ctx context.Context, ops []PutOp, opts ...OpOption) []WriteResult {
-	return c.BatchPutAsync(ctx, ops, opts...).Wait(ctx)
-}
-
-func (c *simClient) GetAsync(ctx context.Context, key string, opts ...OpOption) *ReadFuture {
-	o := resolveOpts(opts)
-	f := newFuture(c.pump, func(err error) ReadResult { return ReadResult{Err: err, Key: key} })
-	if ctx.Err() != nil {
-		f.resolve(ReadResult{Err: ErrCanceled, Key: key})
-		return f
-	}
-	if o.level != nil {
-		c.sim.Cluster.Read(key, *o.level, f.resolve)
-	} else {
-		c.sess.Read(key, f.resolve)
-	}
-	c.armDeadline(o.deadline, func() { f.resolve(ReadResult{Err: ErrDeadline, Key: key}) })
-	return f
-}
-
-func (c *simClient) PutAsync(ctx context.Context, key string, value []byte, opts ...OpOption) *WriteFuture {
-	o := resolveOpts(opts)
-	f := newFuture(c.pump, func(err error) WriteResult { return WriteResult{Err: err, Key: key} })
-	if ctx.Err() != nil {
-		f.resolve(WriteResult{Err: ErrCanceled, Key: key})
-		return f
-	}
-	if o.level != nil {
-		c.sim.Cluster.Write(key, value, *o.level, f.resolve)
-	} else {
-		c.sess.Write(key, value, f.resolve)
-	}
-	c.armDeadline(o.deadline, func() { f.resolve(WriteResult{Err: ErrDeadline, Key: key}) })
-	return f
-}
-
-func (c *simClient) DeleteAsync(ctx context.Context, key string, opts ...OpOption) *WriteFuture {
-	o := resolveOpts(opts)
-	f := newFuture(c.pump, func(err error) WriteResult { return WriteResult{Err: err, Key: key} })
-	if ctx.Err() != nil {
-		f.resolve(WriteResult{Err: ErrCanceled, Key: key})
-		return f
-	}
-	if o.level != nil {
-		c.sim.Cluster.Delete(key, *o.level, f.resolve)
-	} else {
-		c.sess.Delete(key, f.resolve)
-	}
-	c.armDeadline(o.deadline, func() { f.resolve(WriteResult{Err: ErrDeadline, Key: key}) })
-	return f
-}
-
-func (c *simClient) BatchGetAsync(ctx context.Context, keys []string, opts ...OpOption) *BatchGetFuture {
-	o := resolveOpts(opts)
-	f := newFuture(c.pump, func(err error) []ReadResult { return failedBatchReads(keys, err) })
-	if ctx.Err() != nil {
-		f.resolve(failedBatchReads(keys, ErrCanceled))
-		return f
-	}
-	if o.level != nil {
-		c.sim.Cluster.ReadBatch(keys, *o.level, f.resolve)
-	} else {
-		c.sess.BatchRead(keys, f.resolve)
-	}
-	c.armDeadline(o.deadline, func() { f.resolve(failedBatchReads(keys, ErrDeadline)) })
-	return f
-}
-
-func (c *simClient) BatchPutAsync(ctx context.Context, ops []PutOp, opts ...OpOption) *BatchPutFuture {
-	o := resolveOpts(opts)
-	f := newFuture(c.pump, func(err error) []WriteResult { return failedBatchWrites(ops, err) })
-	if ctx.Err() != nil {
-		f.resolve(failedBatchWrites(ops, ErrCanceled))
-		return f
-	}
-	if o.level != nil {
-		c.sim.Cluster.WriteBatch(ops, *o.level, f.resolve)
-	} else {
-		c.sess.BatchWrite(ops, f.resolve)
-	}
-	c.armDeadline(o.deadline, func() { f.resolve(failedBatchWrites(ops, ErrDeadline)) })
-	return f
-}
-
-// Run drives a workload to completion in virtual time.
-func (c *simClient) Run(w Workload, o RunOptions) (*Metrics, error) {
-	r, err := ycsb.NewRunner(c.sess, w, c.sim.Transport, c.sim.Cluster.Config().Seed)
-	if err != nil {
-		return nil, err
-	}
-	applyRunOptions(r, o)
-	if !o.NoPreload {
-		c.sim.Preload(w.RecordCount, r.Keys, r.Value())
-	}
-	r.Start()
-	for !r.Finished() && c.sim.Engine.Step() {
-	}
-	if !r.Finished() {
-		return nil, fmt.Errorf("repro: workload stalled with %d events pending", c.sim.Engine.Pending())
-	}
-	return r.Metrics(), nil
-}
-
-// applyRunOptions maps RunOptions onto a runner.
-func applyRunOptions(r *ycsb.Runner, o RunOptions) {
-	if o.Ops > 0 {
-		r.OpCount = o.Ops
-	}
-	if o.Threads > 0 {
-		r.Threads = o.Threads
-	}
-	r.BatchSize = o.BatchSize
-	r.WarmupOps = o.WarmupOps
-	r.OpenLoopRate = o.OpenLoopRate
-}

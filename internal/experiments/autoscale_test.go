@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/autoscale"
@@ -101,6 +100,7 @@ func TestAutoscaleStudy(t *testing.T) {
 	if a, p := nodeSeconds(auto), nodeSeconds(peak); a >= p {
 		t.Errorf("autoscale node·s %.1f ≥ static-peak %.1f", a, p)
 	}
+	pinTable(t, res.Table, "2da767d7452a9f924f75ebd6e78d92276a4e173bc07461696c348abd3c44282f")
 }
 
 // TestAutoscaleDeterministic pins the controller end to end: the same
@@ -128,20 +128,6 @@ func TestAutoscaleDeterministic(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("decision logs diverge at %d:\n  a: %s\n  b: %s", i, a[i], b[i])
-		}
-	}
-}
-
-func TestAutoscaleRenders(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	var b strings.Builder
-	RunAutoscale(autoscaleTestPlatform(), 7).Table.Render(&b)
-	s := b.String()
-	for _, want := range []string{"static-min", "static-peak", "autoscale", "peak/update-heavy", "total bill"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("render missing %q:\n%s", want, s)
 		}
 	}
 }

@@ -1,12 +1,34 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
+	"strings"
 	"testing"
 )
 
 // Test scales keep the suite fast while preserving topology and pressure.
 const testScale = 0.008
+
+// pinTable asserts the SHA-256 of table's rendering. The rendered tables
+// define the experiments' behaviour: a refactor keeps them byte-identical,
+// and a deliberate change updates the constant with an explanation in the
+// commit message. On a mismatch the rendered table is logged.
+func pinTable(t *testing.T, table *Table, want string) {
+	t.Helper()
+	out := renderString(table)
+	sum := sha256.Sum256([]byte(out))
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("table %q: sha256 %s, pinned %s; rendered:\n%s", table.Title, got, want, out)
+	}
+}
+
+func renderString(t *Table) string {
+	var sb strings.Builder
+	t.Render(&sb)
+	return sb.String()
+}
 
 func TestExpA_Grid5000Shape(t *testing.T) {
 	if testing.Short() {
@@ -17,6 +39,7 @@ func TestExpA_Grid5000Shape(t *testing.T) {
 	if testing.Verbose() {
 		table.Render(os.Stderr)
 	}
+	pinTable(t, table, "a971f9b362aeb920f897d8fda6b90c039cca7bd945e9294e582bd7530dfb1191")
 	assertExpAShape(t, rows)
 }
 
@@ -29,6 +52,7 @@ func TestExpA_EC2Shape(t *testing.T) {
 	if testing.Verbose() {
 		table.Render(os.Stderr)
 	}
+	pinTable(t, table, "cf5f4e1f328278a73661923d0e035d4189948381dacc25942b8f8f6a9132eccd")
 	assertExpAShape(t, rows)
 }
 
@@ -67,6 +91,7 @@ func TestExpB1CostShape(t *testing.T) {
 	if testing.Verbose() {
 		table.Render(os.Stderr)
 	}
+	pinTable(t, table, "5a64cf71f77191cd34e4427a3a176d9ccc9afba3f65cfcc3e3691595b00d8be5")
 	if len(rows) != p.RF {
 		t.Fatalf("want %d levels, got %d", p.RF, len(rows))
 	}
@@ -107,6 +132,7 @@ func TestExpB2MetricShape(t *testing.T) {
 	if testing.Verbose() {
 		table.Render(os.Stderr)
 	}
+	pinTable(t, table, "623862427796dfc740eb625e411e3214dcf1df2f6e46168235c775fc6f93d64e")
 	for _, s := range samples {
 		if s.Best && s.StaleRate > 0.25 {
 			t.Errorf("most-efficient level %s (%s) has stale rate %.3f > 25%%",
@@ -124,6 +150,7 @@ func TestExpCBismarShape(t *testing.T) {
 	if testing.Verbose() {
 		table.Render(os.Stderr)
 	}
+	pinTable(t, table, "829cb428237e35a32aefdcfd6820899022778b645a683a456833faba0a71d1d3")
 	var bismarRow, quorumRow, oneRow *ExpCRow
 	for i := range rows {
 		switch rows[i].Approach {

@@ -14,6 +14,7 @@ func TestFig1ModelValidation(t *testing.T) {
 	if testing.Verbose() {
 		table.Render(os.Stderr)
 	}
+	pinTable(t, table, "6fc30a6843f5f613414aa1d874ef97f6a67bde945372bfdad825b353f2205df0")
 	// The model must track ground truth: same ordering in k, rough
 	// agreement in magnitude.
 	for _, r := range rows {

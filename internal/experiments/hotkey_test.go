@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"os"
-	"strings"
 	"testing"
 
 	"repro/internal/netsim"
@@ -102,22 +100,5 @@ func TestHotKeyStudy(t *testing.T) {
 		t.Errorf("cache+hot: whole-run stale %.3f not below plain cache %.3f",
 			hot.WholeRunStale, cached.WholeRunStale)
 	}
-	res.Table.Render(os.Stderr)
-}
-
-// TestHotKeyStudyDeterministic: the whole study — all variants, phases
-// and meters — renders byte-identically across runs with the same seed.
-func TestHotKeyStudyDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	render := func() string {
-		var sb strings.Builder
-		RunHotKey(hotKeyTestPlatform(), 7).Table.Render(&sb)
-		return sb.String()
-	}
-	first, second := render(), render()
-	if first != second {
-		t.Fatalf("hot-key study not deterministic:\n--- first ---\n%s\n--- second ---\n%s", first, second)
-	}
+	pinTable(t, res.Table, "3b267f972b7377d5c703eb2901494000eef88d35c1814d532c83e34260593081")
 }

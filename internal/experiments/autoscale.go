@@ -6,15 +6,11 @@ import (
 	"time"
 
 	"repro/internal/autoscale"
-	"repro/internal/core"
 	"repro/internal/cost"
-	"repro/internal/harmony"
 	"repro/internal/kv"
 	"repro/internal/monitor"
 	"repro/internal/netsim"
 	"repro/internal/provision"
-	"repro/internal/sim"
-	"repro/internal/ycsb"
 )
 
 // The autoscale study (PR 5): does closing the cost loop — the
@@ -51,29 +47,22 @@ type autoscaleVariant struct {
 	Auto bool
 }
 
-// AutoscalePhase is one phase's measurement.
+// AutoscalePhase is one phase's record, billed once the decision log
+// is complete.
 type AutoscalePhase struct {
-	Name        string
-	Members     int // at phase end
-	Ops         uint64
-	Throughput  float64
-	StaleRate   float64
-	AvgReadK    float64
+	phaseRecord
 	NodeSeconds float64
 	Bill        cost.Bill // exact node-time integral + storage + billed traffic
-	Changes     int       // membership changes enacted during the phase
 }
 
 // AutoscaleOutcome is one variant's full measurement.
 type AutoscaleOutcome struct {
-	Variant       string
-	Phases        []AutoscalePhase
-	Decisions     []autoscale.Decision // empty for the static variants
-	TotalBill     cost.Bill            // instances billed in whole granularity units per lease
-	StaleRate     float64              // aggregate oracle stale fraction
-	Joins         uint64
-	Decommissions uint64
-	Usage         kv.Usage
+	Variant   string
+	Phases    []AutoscalePhase
+	Decisions []autoscale.Decision // empty for the static variants
+	TotalBill cost.Bill            // instances billed in whole granularity units per lease
+	StaleRate float64              // aggregate oracle stale fraction
+	Usage     kv.Usage
 }
 
 // AutoscaleResult carries the study's outcomes plus the rendered table.
@@ -107,12 +96,12 @@ func RunAutoscale(p Platform, seed uint64) *AutoscaleResult {
 	for _, out := range outcomes {
 		for _, ph := range out.Phases {
 			t.Add(out.Variant, ph.Name, fmt.Sprintf("%d", ph.Members),
-				fmt.Sprintf("%d", ph.Ops), fmt.Sprintf("%.0f", ph.Throughput),
-				pct(ph.StaleRate), fmt.Sprintf("%.2f", ph.AvgReadK),
+				fmt.Sprintf("%d", ph.Metrics.Ops), fmt.Sprintf("%.0f", ph.Throughput()),
+				pct(ph.StaleRate()), fmt.Sprintf("%.2f", ph.AvgReadK),
 				fmt.Sprintf("%.1f", ph.NodeSeconds), fmt.Sprintf("$%.4f", ph.Bill.Total()))
 		}
 		t.Note("%s: total bill %s (granularity-aware instance billing), stale %s, %d joins / %d decommissions",
-			out.Variant, out.TotalBill, pct(out.StaleRate), out.Joins, out.Decommissions)
+			out.Variant, out.TotalBill, pct(out.StaleRate), out.Usage.Joins, out.Usage.Decommissions)
 	}
 	if auto := outcomes[2]; len(auto.Decisions) > 0 {
 		enacted := 0
@@ -129,19 +118,6 @@ func RunAutoscale(p Platform, seed uint64) *AutoscaleResult {
 	return &AutoscaleResult{Outcomes: outcomes, Table: t}
 }
 
-// autoscalePhaseRaw is the in-run measurement of one phase, billed
-// after the decision log is complete.
-type autoscalePhaseRaw struct {
-	name       string
-	start, end time.Duration
-	ops        uint64
-	stale      float64
-	readK      float64
-	members    int
-	dcBytes    uint64
-	regBytes   uint64
-}
-
 // runAutoscaleVariant drives the four phases over one cluster, one
 // Harmony controller and (for the autoscale variant) one autoscale
 // controller.
@@ -150,35 +126,24 @@ func runAutoscaleVariant(p Platform, v autoscaleVariant, seed uint64) AutoscaleO
 		seed = 1
 	}
 	cfg := p.Config(seed)
-	initial := make([]netsim.NodeID, v.Size)
-	for i := range initial {
-		initial[i] = netsim.NodeID(i)
-	}
-	cfg.InitialMembers = initial
+	cfg.InitialMembers = firstNodes(v.Size)
 	cfg.WarmupDuration = 300 * time.Millisecond
-	cfg.AntiEntropyInterval = 500 * time.Millisecond
-	cfg.AntiEntropySample = 1024
-	cfg.HintReplayInterval = 250 * time.Millisecond
-	cfg.DetectionDelay = 500 * time.Millisecond
+	fastRepair(&cfg, 1024)
 
-	eng := sim.New(seed)
-	topo := p.Build()
-	tr := netsim.NewTransport(eng, topo)
-	cl := kv.New(topo, tr, cfg)
 	// Short monitoring window so the controller sees phase shifts at
 	// test scale.
-	mon := monitor.New(cl.RF(), tr, monitor.Options{
-		Window: time.Second, Slots: 10, RankAlpha: 0.2, TopKeys: 64, LatencyWindowOps: 50_000,
-	})
-	cl.AddHooks(mon.Hooks())
-	ctl := core.NewController(mon, harmony.New(autoscaleAlpha, cl.RF()), tr, 100*time.Millisecond)
+	mopts := monitor.Options{Window: time.Second, Slots: 10, RankAlpha: 0.2, TopKeys: 64, LatencyWindowOps: 50_000}
+	phases := BismarPhases(p, 1)
+	d := deploy(p, cfg, seed, mopts, harmonyTuner(autoscaleAlpha), 100*time.Millisecond, keyspaceOf(phases))
+	cl := d.cl
 
 	granular := Pricing()
 	granular.BillingGranularity = time.Second // billed units at simulation scale
 
 	var asc *autoscale.Controller
 	if v.Auto {
-		asc = autoscale.New(cl, mon, tr, autoscale.Config{
+		topo := cl.Topology()
+		asc = autoscale.New(cl, d.mon, d.tr, autoscale.Config{
 			NodeType: provision.NodeType{
 				Name:             "sim-node",
 				HourlyCost:       granular.InstanceHour,
@@ -200,136 +165,66 @@ func runAutoscaleVariant(p Platform, v autoscaleVariant, seed uint64) AutoscaleO
 			MaxNodes:    p.Nodes,
 			BaseLatency: topo.MeanLatency(0, netsim.NodeID(topo.N()-1)),
 		})
-	}
-
-	phases := BismarPhases(p, 1)
-	var maxRecords uint64
-	for _, ph := range phases {
-		if ph.Workload.RecordCount > maxRecords {
-			maxRecords = ph.Workload.RecordCount
-		}
-	}
-	loader, err := ycsb.NewRunner(kv.StaticSession{Cluster: cl, ReadLevel: kv.One, WriteLevel: kv.One},
-		ycsb.HeavyReadUpdate(maxRecords), tr, seed)
-	if err != nil {
-		panic(err)
-	}
-	cl.Preload(maxRecords, loader.Keys, loader.Value())
-	ctl.Start()
-	if asc != nil {
 		asc.Start()
 	}
 
-	out := AutoscaleOutcome{Variant: v.Name}
-	lastStale, lastFresh, _ := cl.Oracle().Counts()
-	var lastDC, lastRegion uint64
-	var raws []autoscalePhaseRaw
-
+	stages := make([]stage, len(phases))
 	for i, ph := range phases {
-		w := ph.Workload
-		w.ValueSize = p.ValueBytes
+		ph.Workload.ValueSize = p.ValueBytes
 		threads := int(float64(p.Threads) * autoscaleThreadFrac[i%len(autoscaleThreadFrac)])
-		if threads < 8 {
-			threads = 8
-		}
-		r, err := ycsb.NewRunner(ctl.Session(cl), w, tr, seed+uint64(i+1)*1000)
-		if err != nil {
-			panic(err)
-		}
-		r.OpCount = ph.Ops
-		r.Threads = threads
-		start := eng.Now()
-		r.Start()
-		for !r.Finished() && eng.Step() {
-		}
-		if !r.Finished() {
-			panic(fmt.Sprintf("experiments: autoscale phase %q stalled", ph.Name))
-		}
-		end := eng.Now()
-		stale, fresh, failed := cl.Oracle().Counts()
-		judged := (stale - lastStale) + (fresh - lastFresh)
-		m := tr.Meter()
-		dc, region := m.BilledBytes()
-		raw := autoscalePhaseRaw{
-			name:     ph.Name,
-			start:    start,
-			end:      end,
-			ops:      r.Metrics().Ops,
-			readK:    avgReadKWindow(ctl.Journal(), start, end, cl.RF()),
-			members:  len(cl.Members()),
-			dcBytes:  dc - lastDC,
-			regBytes: region - lastRegion,
-		}
-		if judged > 0 {
-			raw.stale = float64(stale-lastStale) / float64(judged)
-		}
-		lastStale, lastFresh = stale, fresh
-		lastDC, lastRegion = dc, region
-		_ = failed
-		raws = append(raws, raw)
+		stages[i] = stage{Phase: ph, threads: max(threads, 8)}
 	}
+	recs := d.run(stages, studySeeds(seed))
 	// Drain in-flight repair and membership work, then stop the loops.
-	eng.RunFor(2 * time.Second)
-	ctl.Stop()
+	d.eng.RunFor(2 * time.Second)
+	d.ctl.Stop()
+	out := AutoscaleOutcome{Variant: v.Name}
 	if asc != nil {
 		asc.Stop()
 		out.Decisions = asc.Log()
 	}
-	endTime := eng.Now()
+	endTime := d.eng.Now()
 
 	// Node-time accounting: initial members lease from time zero; every
 	// enacted decision opens or closes a lease at its timestamp.
-	tl := newNodeTimeline(initial, out.Decisions, endTime)
+	tl := newNodeTimeline(cfg.InitialMembers, out.Decisions, endTime)
 	smooth := Pricing().Smooth()
-	for _, raw := range raws {
-		ns := tl.nodeSeconds(raw.start, raw.end)
-		ph := AutoscalePhase{
-			Name:        raw.name,
-			Members:     raw.members,
-			Ops:         raw.ops,
-			StaleRate:   raw.stale,
-			AvgReadK:    raw.readK,
-			NodeSeconds: ns,
-			Changes:     tl.changesIn(raw.start, raw.end),
-		}
-		if d := raw.end - raw.start; d > 0 {
-			ph.Throughput = float64(raw.ops) / d.Seconds()
-		}
+	stored := float64(cl.Usage().StoredBytes)
+	for _, rec := range recs {
+		ns := tl.nodeSeconds(rec.Start, rec.End)
+		ph := AutoscalePhase{phaseRecord: rec, NodeSeconds: ns}
 		// Instance cost over the exact node-time integral, plus storage
 		// and the phase's billed traffic.
+		traffic := rec.MeterEnd.Sub(rec.MeterStart)
+		dc, region := traffic.BilledBytes()
 		ph.Bill = smooth.BillFor(cost.Usage{
 			Nodes:            1,
 			Duration:         time.Duration(ns * float64(time.Second)),
-			StoredBytes:      float64(cl.Usage().StoredBytes),
-			InterDCBytes:     float64(raw.dcBytes),
-			InterRegionBytes: float64(raw.regBytes),
+			StoredBytes:      stored,
+			InterDCBytes:     float64(dc),
+			InterRegionBytes: float64(region),
 		})
 		// BillFor prorates storage by the usage duration; re-prorate to
 		// the phase duration instead of the node-time integral.
-		ph.Bill.Storage = (float64(cl.Usage().StoredBytes) / cost.GB) * smooth.StorageGBMonth *
-			((raw.end - raw.start).Hours() / cost.HoursPerMonth)
+		ph.Bill.Storage = (stored / cost.GB) * smooth.StorageGBMonth *
+			((rec.End - rec.Start).Hours() / cost.HoursPerMonth)
 		out.Phases = append(out.Phases, ph)
 	}
 
 	// Total bill: every lease billed in whole granularity units — the
 	// 2013-cloud convention the controller's boundary-aware scale-down
 	// respects.
-	finalMeter := tr.Meter()
-	totalDC, totalRegion := finalMeter.BilledBytes()
+	final := d.tr.Meter()
+	totalDC, totalRegion := final.BilledBytes()
 	out.TotalBill = cost.Bill{
 		Instances: tl.granularInstanceCost(granular),
-		Storage: (float64(cl.Usage().StoredBytes) / cost.GB) * granular.StorageGBMonth *
+		Storage: (stored / cost.GB) * granular.StorageGBMonth *
 			(endTime.Hours() / cost.HoursPerMonth),
 		Network: (float64(totalDC)/cost.GB)*granular.InterDCPerGB +
 			(float64(totalRegion)/cost.GB)*granular.InterRegionPerGB,
 	}
-	stale, fresh, _ := cl.Oracle().Counts()
-	if judged := stale + fresh; judged > 0 {
-		out.StaleRate = float64(stale) / float64(judged)
-	}
-	u := cl.Usage()
-	out.Joins, out.Decommissions = u.Joins, u.Decommissions
-	out.Usage = u
+	out.StaleRate = d.staleRate()
+	out.Usage = cl.Usage()
 	return out
 }
 
@@ -390,17 +285,6 @@ func (tl *nodeTimeline) nodeSeconds(start, end time.Duration) float64 {
 		}
 	}
 	return total
-}
-
-// changesIn counts membership changes inside [start, end).
-func (tl *nodeTimeline) changesIn(start, end time.Duration) int {
-	n := 0
-	for _, at := range tl.times[1:] {
-		if at >= start && at < end {
-			n++
-		}
-	}
-	return n
 }
 
 // granularInstanceCost bills every lease in whole BillingGranularity

@@ -46,16 +46,16 @@ func TestAutoscaleStudy(t *testing.T) {
 	min, peak, auto := byName["static-min"], byName["static-peak"], byName["autoscale"]
 
 	// Static deployments must not change membership.
-	if min.Joins+min.Decommissions+peak.Joins+peak.Decommissions != 0 {
+	if mu, pu := min.Usage, peak.Usage; mu.Joins+mu.Decommissions+pu.Joins+pu.Decommissions != 0 {
 		t.Fatalf("static variants changed membership: min %d/%d peak %d/%d",
-			min.Joins, min.Decommissions, peak.Joins, peak.Decommissions)
+			mu.Joins, mu.Decommissions, pu.Joins, pu.Decommissions)
 	}
 	// The controller must have both grown the cluster for the peak and
 	// shrunk it again when the load receded.
-	if auto.Joins == 0 {
+	if auto.Usage.Joins == 0 {
 		t.Error("autoscale never scaled up")
 	}
-	if auto.Decommissions == 0 {
+	if auto.Usage.Decommissions == 0 {
 		t.Error("autoscale never scaled down")
 	}
 	peakMembers := 0
@@ -83,9 +83,9 @@ func TestAutoscaleStudy(t *testing.T) {
 	// 3. and cheaper-than-peak must not come from undershooting work:
 	//    every variant ran the same phase operation counts.
 	for i := range auto.Phases {
-		if auto.Phases[i].Ops != peak.Phases[i].Ops {
+		if auto.Phases[i].Metrics.Ops != peak.Phases[i].Metrics.Ops {
 			t.Errorf("phase %d ops differ: autoscale %d vs static-peak %d",
-				i, auto.Phases[i].Ops, peak.Phases[i].Ops)
+				i, auto.Phases[i].Metrics.Ops, peak.Phases[i].Metrics.Ops)
 		}
 	}
 

@@ -4,13 +4,10 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/cost"
-	"repro/internal/harmony"
 	"repro/internal/kv"
 	"repro/internal/monitor"
 	"repro/internal/netsim"
-	"repro/internal/sim"
 	"repro/internal/ycsb"
 )
 
@@ -44,22 +41,10 @@ type elasticityVariant struct {
 	Warm   bool
 }
 
-// elasticityPhase is one phase's measurement.
-type elasticityPhase struct {
-	Name       string
-	Members    int
-	Ops        uint64
-	Throughput float64
-	StaleRate  float64
-	Failed     uint64
-	AvgReadK   float64
-	Bill       cost.Bill
-}
-
 // elasticityOutcome is one variant's full measurement.
 type elasticityOutcome struct {
 	Variant     elasticityVariant
-	Phases      []elasticityPhase
+	Phases      []phaseRecord
 	Convergence []time.Duration // per join, in issue order
 	Usage       kv.Usage
 }
@@ -90,9 +75,9 @@ func RunElasticity(p Platform, seed uint64) *ElasticityResult {
 	for _, out := range outcomes {
 		for _, ph := range out.Phases {
 			t.Add(out.Variant.Name, ph.Name, fmt.Sprintf("%d", ph.Members),
-				fmt.Sprintf("%d", ph.Ops), fmt.Sprintf("%.0f", ph.Throughput),
-				pct(ph.StaleRate), fmt.Sprintf("%.2f", ph.AvgReadK),
-				fmt.Sprintf("$%.4f", ph.Bill.Total()))
+				fmt.Sprintf("%d", ph.Metrics.Ops), fmt.Sprintf("%.0f", ph.Throughput()),
+				pct(ph.StaleRate()), fmt.Sprintf("%.2f", ph.AvgReadK),
+				fmt.Sprintf("$%.4f", phaseBill(ph).Total()))
 		}
 		u := out.Usage
 		t.Note("%s: joins converged in %v; streamed %d cells / %d KiB in %d chunks; %d hints replayed, %d AE rounds",
@@ -118,38 +103,19 @@ func runElasticityVariant(p Platform, v elasticityVariant, seed uint64) elastici
 	joinerB := netsim.NodeID(members + 1)
 
 	cfg := p.Config(seed)
-	initial := make([]netsim.NodeID, members)
-	for i := range initial {
-		initial[i] = netsim.NodeID(i)
-	}
-	cfg.InitialMembers = initial
+	cfg.InitialMembers = firstNodes(members)
 	cfg.DisableJoinStream = !v.Stream
 	if v.Warm {
 		cfg.WarmupDuration = 2 * time.Second
 	}
 	// Repair machinery fast enough that the ae-only ablation converges
 	// within the run (and the streaming variant's gap writes heal).
-	cfg.AntiEntropyInterval = 500 * time.Millisecond
-	cfg.AntiEntropySample = 1024
-	cfg.HintReplayInterval = 250 * time.Millisecond
-	cfg.DetectionDelay = 500 * time.Millisecond
-
-	eng := sim.New(seed)
-	topo := p.Build()
-	tr := netsim.NewTransport(eng, topo)
-	cl := kv.New(topo, tr, cfg)
-	mon := monitor.New(cl.RF(), tr, monitor.DefaultOptions())
-	cl.AddHooks(mon.Hooks())
-	ctl := core.NewController(mon, harmony.New(0.10, cl.RF()), tr, 100*time.Millisecond)
+	fastRepair(&cfg, 1024)
 
 	w := ycsb.HeavyReadUpdate(p.Records)
 	w.ValueSize = p.ValueBytes
-	loader, err := ycsb.NewRunner(kv.StaticSession{Cluster: cl, ReadLevel: kv.One, WriteLevel: kv.One}, w, tr, seed)
-	if err != nil {
-		panic(err)
-	}
-	cl.Preload(w.RecordCount, loader.Keys, loader.Value())
-	ctl.Start()
+	d := deploy(p, cfg, seed, monitor.DefaultOptions(), harmonyTuner(0.10), 100*time.Millisecond, w)
+	cl, tr, loader := d.cl, d.tr, d.loaders[0]
 
 	// Convergence probes: a scheduled self-rechecking timer per join, so
 	// coverage is sampled inside the event loop while the workload runs.
@@ -192,82 +158,32 @@ func runElasticityVariant(p Platform, v elasticityVariant, seed uint64) elastici
 		tr.Schedule(50*time.Millisecond, check)
 	}
 
-	phaseOps := p.Ops / 6
-	if phaseOps == 0 {
-		phaseOps = 1000
-	}
-	lastStale, lastFresh, lastFailed := cl.Oracle().Counts()
-	var lastDC, lastRegion uint64
-	pricing := Pricing().Smooth()
-
-	runPhase := func(name string, i int, during func()) {
-		r, err := ycsb.NewRunner(ctl.Session(cl), w, tr, seed+uint64(i+1)*1000)
-		if err != nil {
-			panic(err)
-		}
-		r.OpCount = phaseOps
-		r.Threads = p.Threads
-		start := eng.Now()
-		r.Start()
-		if during != nil {
-			during() // membership change lands while the phase's load runs
-		}
-		for !r.Finished() && eng.Step() {
-		}
-		if !r.Finished() {
-			panic(fmt.Sprintf("experiments: elasticity phase %q stalled", name))
-		}
-		end := eng.Now()
-		stale, fresh, failed := cl.Oracle().Counts()
-		judged := (stale - lastStale) + (fresh - lastFresh)
-		m := tr.Meter()
-		dc, region := m.BilledBytes()
-		ph := elasticityPhase{
-			Name:     name,
-			Members:  len(cl.Members()),
-			Ops:      r.Metrics().Ops,
-			Failed:   failed - lastFailed,
-			AvgReadK: avgReadKWindow(ctl.Journal(), start, end, cl.RF()),
-			Bill: pricing.BillFor(cost.Usage{
-				Nodes:            len(cl.Members()),
-				Duration:         end - start,
-				StoredBytes:      float64(cl.Usage().StoredBytes),
-				InterDCBytes:     float64(dc - lastDC),
-				InterRegionBytes: float64(region - lastRegion),
-			}),
-		}
-		if d := end - start; d > 0 {
-			ph.Throughput = float64(ph.Ops) / d.Seconds()
-		}
-		if judged > 0 {
-			ph.StaleRate = float64(stale-lastStale) / float64(judged)
-		}
-		lastStale, lastFresh, lastFailed = stale, fresh, failed
-		lastDC, lastRegion = dc, region
-		out.Phases = append(out.Phases, ph)
-	}
-
-	runPhase("steady", 0, nil)
-	runPhase("join-1", 1, func() { cl.Join(joinerA); watchJoin(joinerA) })
-	eng.RunFor(3 * time.Second) // let the first change settle before the next
-	runPhase("join-2", 2, func() { cl.Join(joinerB); watchJoin(joinerB) })
-	eng.RunFor(3 * time.Second)
-	runPhase("scaled", 3, nil)
-	// Decommission requires a settled (plainly live) node; on platforms
-	// with long streaming or warmup joinerB may still be converging.
-	for i := 0; i < 120 && cl.State(joinerB) != kv.StateLive; i++ {
-		eng.RunFor(500 * time.Millisecond)
-	}
-	runPhase("scale-down", 4, func() { cl.Decommission(joinerB) })
-	eng.RunFor(3 * time.Second)
-	runPhase("settled", 5, nil)
+	// Each membership change lands while a phase's load runs, and the
+	// next waits until it has settled.
+	ops := phaseOps(p, 6)
+	out.Phases = d.run([]stage{
+		{Phase: Phase{"steady", w, ops}},
+		{Phase: Phase{"join-1", w, ops}, during: func() { cl.Join(joinerA); watchJoin(joinerA) }},
+		{Phase: Phase{"join-2", w, ops}, before: d.settle(3 * time.Second),
+			during: func() { cl.Join(joinerB); watchJoin(joinerB) }},
+		{Phase: Phase{"scaled", w, ops}, before: d.settle(3 * time.Second)},
+		// Decommission requires a settled (plainly live) node; on
+		// platforms with long streaming or warmup joinerB may still be
+		// converging.
+		{Phase: Phase{"scale-down", w, ops}, before: func() {
+			for i := 0; i < 120 && cl.State(joinerB) != kv.StateLive; i++ {
+				d.eng.RunFor(500 * time.Millisecond)
+			}
+		}, during: func() { cl.Decommission(joinerB) }},
+		{Phase: Phase{"settled", w, ops}, before: d.settle(3 * time.Second)},
+	}, studySeeds(seed))
 	// Drain until both probes resolved (the ae-only joiners may still be
 	// converging through anti-entropy after the workload finished).
 	for i := 0; i < 120 && len(convergedAt) < 2; i++ {
-		eng.RunFor(500 * time.Millisecond)
+		d.eng.RunFor(500 * time.Millisecond)
 	}
 
-	ctl.Stop()
+	d.ctl.Stop()
 	for _, id := range []netsim.NodeID{joinerA, joinerB} {
 		d, ok := convergedAt[id]
 		if !ok {
@@ -277,4 +193,19 @@ func runElasticityVariant(p Platform, v elasticityVariant, seed uint64) elastici
 	}
 	out.Usage = cl.Usage()
 	return out
+}
+
+// phaseBill prices a phase at smooth per-second billing: its members'
+// instance time, the stored bytes at its end and the billed traffic
+// since the previous phase.
+func phaseBill(ph phaseRecord) cost.Bill {
+	traffic := ph.MeterEnd.Sub(ph.MeterStart)
+	dc, region := traffic.BilledBytes()
+	return Pricing().Smooth().BillFor(cost.Usage{
+		Nodes:            ph.Members,
+		Duration:         ph.End - ph.Start,
+		StoredBytes:      float64(ph.UsageEnd.StoredBytes),
+		InterDCBytes:     float64(dc),
+		InterRegionBytes: float64(region),
+	})
 }

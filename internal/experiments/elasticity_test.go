@@ -77,7 +77,7 @@ func TestElasticityStudy(t *testing.T) {
 	//    join phases where the joiner is still empty (the ablation, where
 	//    routing is the only protection).
 	joinStale := func(out elasticityOutcome) float64 {
-		return out.Phases[1].StaleRate + out.Phases[2].StaleRate
+		return out.Phases[1].StaleRate() + out.Phases[2].StaleRate()
 	}
 	if warm, cold := joinStale(byName["ae-only+warm"]), joinStale(byName["ae-only+cold"]); warm >= cold {
 		t.Errorf("join-phase stale rate: warm %.4f vs cold %.4f — warming must lower it", warm, cold)

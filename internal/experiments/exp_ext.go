@@ -7,10 +7,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/freshness"
 	"repro/internal/kv"
+	"repro/internal/monitor"
 	"repro/internal/netsim"
 	"repro/internal/power"
 	"repro/internal/provision"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/ycsb"
 )
@@ -131,24 +131,18 @@ func simulatePlan(plan provision.Plan, w provision.Workload, c provision.Constra
 		CoordOverhead: stats.NewLogNormal(200*time.Microsecond, 0.3),
 		Concurrency:   plan.Type.Concurrency,
 	}
-	cfg := p.Config(seed)
-	eng := sim.New(seed)
-	topo := p.Build()
-	tr := netsim.NewTransport(eng, topo)
-	cl := kv.New(topo, tr, cfg)
-	sess := kv.StaticSession{Cluster: cl,
-		ReadLevel: kv.Count(c.ReadLevel), WriteLevel: kv.Count(c.WriteLevel)}
 	wl := ycsb.Mix(p.Records, w.ReadFraction, ycsb.DistZipfian, 0.99)
-	r, err := ycsb.NewRunner(sess, wl, tr, seed)
+	read, write := kv.Count(c.ReadLevel), kv.Count(c.WriteLevel)
+	d := deploy(p, p.Config(seed), seed, monitor.DefaultOptions(),
+		fixedTuner(core.StaticTuner{Read: read, Write: write}), 250*time.Millisecond, wl)
+	r, err := ycsb.NewRunner(kv.StaticSession{Cluster: d.cl, ReadLevel: read, WriteLevel: write}, wl, d.tr, seed)
 	if err != nil {
 		panic(err)
 	}
 	r.OpCount = p.Ops
 	r.OpenLoopRate = w.OpsPerSecond
-	cl.Preload(wl.RecordCount, r.Keys, r.Value())
 	r.Start()
-	for !r.Finished() && eng.Step() {
-	}
+	d.complete(r, "plan workload")
 	m := r.Metrics()
 	return m.Throughput(), m.StaleRate()
 }

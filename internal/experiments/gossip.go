@@ -4,12 +4,9 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/harmony"
 	"repro/internal/kv"
 	"repro/internal/monitor"
 	"repro/internal/netsim"
-	"repro/internal/sim"
 	"repro/internal/ycsb"
 )
 
@@ -45,25 +42,10 @@ type gossipVariant struct {
 	Gossip bool
 }
 
-// gossipPhase is one phase's measurement.
-type gossipPhase struct {
-	Name       string
-	Members    int
-	Ops        uint64
-	Throughput float64
-	StaleRate  float64
-	Failed     uint64
-	AvgReadK   float64
-	// Gossip meter deltas over the phase.
-	Suspicions      uint64
-	WrongOwner      uint64
-	NotOwnerReplies uint64
-}
-
 // gossipOutcome is one variant's full measurement.
 type gossipOutcome struct {
 	Variant gossipVariant
-	Phases  []gossipPhase
+	Phases  []phaseRecord
 	// Converge is the time from the Join call until ViewAgreement
 	// returned to 1 (0 for the atomic variant; -1 if it never did).
 	Converge time.Duration
@@ -96,11 +78,13 @@ func RunGossip(p Platform, seed uint64) *GossipResult {
 		"suspicions", "wrong-owner retries", "refusals")
 	for _, out := range outcomes {
 		for _, ph := range out.Phases {
+			start, end := ph.UsageStart, ph.UsageEnd
 			t.Add(out.Variant.Name, ph.Name, fmt.Sprintf("%d", ph.Members),
-				fmt.Sprintf("%d", ph.Ops), fmt.Sprintf("%.0f", ph.Throughput),
-				pct(ph.StaleRate), fmt.Sprintf("%.2f", ph.AvgReadK),
-				fmt.Sprintf("%d", ph.Suspicions), fmt.Sprintf("%d", ph.WrongOwner),
-				fmt.Sprintf("%d", ph.NotOwnerReplies))
+				fmt.Sprintf("%d", ph.Metrics.Ops), fmt.Sprintf("%.0f", ph.Throughput()),
+				pct(ph.StaleRate()), fmt.Sprintf("%.2f", ph.AvgReadK),
+				fmt.Sprintf("%d", end.GossipSuspicions-start.GossipSuspicions),
+				fmt.Sprintf("%d", end.WrongOwnerRetries-start.WrongOwnerRetries),
+				fmt.Sprintf("%d", end.NotOwnerReplies-start.NotOwnerReplies))
 		}
 		u := out.Usage
 		t.Note("%s: views converged %v after the join; whole-run stale %s; "+
@@ -128,34 +112,15 @@ func runGossipVariant(p Platform, v gossipVariant, seed uint64) gossipOutcome {
 	flapNode := netsim.NodeID(2)
 
 	cfg := p.Config(seed)
-	initial := make([]netsim.NodeID, members)
-	for i := range initial {
-		initial[i] = netsim.NodeID(i)
-	}
-	cfg.InitialMembers = initial
+	cfg.InitialMembers = firstNodes(members)
 	cfg.Gossip = v.Gossip
 	cfg.WarmupDuration = time.Second
-	cfg.AntiEntropyInterval = 500 * time.Millisecond
-	cfg.AntiEntropySample = 1024
-	cfg.HintReplayInterval = 250 * time.Millisecond
-	cfg.DetectionDelay = 500 * time.Millisecond
-
-	eng := sim.New(seed)
-	topo := p.Build()
-	tr := netsim.NewTransport(eng, topo)
-	cl := kv.New(topo, tr, cfg)
-	mon := monitor.New(cl.RF(), tr, monitor.DefaultOptions())
-	cl.AddHooks(mon.Hooks())
-	ctl := core.NewController(mon, harmony.New(0.10, cl.RF()), tr, 100*time.Millisecond)
+	fastRepair(&cfg, 1024)
 
 	w := ycsb.HeavyReadUpdate(p.Records)
 	w.ValueSize = p.ValueBytes
-	loader, err := ycsb.NewRunner(kv.StaticSession{Cluster: cl, ReadLevel: kv.One, WriteLevel: kv.One}, w, tr, seed)
-	if err != nil {
-		panic(err)
-	}
-	cl.Preload(w.RecordCount, loader.Keys, loader.Value())
-	ctl.Start()
+	d := deploy(p, cfg, seed, monitor.DefaultOptions(), harmonyTuner(0.10), 100*time.Millisecond, w)
+	cl, tr := d.cl, d.tr
 
 	out := gossipOutcome{Variant: v, Converge: -1}
 	// Convergence probe: once the join's placement flip lands, poll the
@@ -177,78 +142,31 @@ func runGossipVariant(p Platform, v gossipVariant, seed uint64) gossipOutcome {
 		tr.Schedule(25*time.Millisecond, check)
 	}
 
-	phaseOps := p.Ops / 6
-	if phaseOps == 0 {
-		phaseOps = 1000
-	}
-	lastStale, lastFresh, lastFailed := cl.Oracle().Counts()
-	lastUsage := cl.Usage()
-
-	runPhase := func(name string, i int, during func()) {
-		r, err := ycsb.NewRunner(ctl.Session(cl), w, tr, seed+uint64(i+1)*1000)
-		if err != nil {
-			panic(err)
-		}
-		r.OpCount = phaseOps
-		r.Threads = p.Threads
-		start := eng.Now()
-		r.Start()
-		if during != nil {
-			during() // the membership/liveness event lands under load
-		}
-		for !r.Finished() && eng.Step() {
-		}
-		if !r.Finished() {
-			panic(fmt.Sprintf("experiments: gossip phase %q stalled", name))
-		}
-		end := eng.Now()
-		stale, fresh, failed := cl.Oracle().Counts()
-		judged := (stale - lastStale) + (fresh - lastFresh)
-		u := cl.Usage()
-		ph := gossipPhase{
-			Name:            name,
-			Members:         len(cl.Members()),
-			Ops:             r.Metrics().Ops,
-			Failed:          failed - lastFailed,
-			AvgReadK:        avgReadKWindow(ctl.Journal(), start, end, cl.RF()),
-			Suspicions:      u.GossipSuspicions - lastUsage.GossipSuspicions,
-			WrongOwner:      u.WrongOwnerRetries - lastUsage.WrongOwnerRetries,
-			NotOwnerReplies: u.NotOwnerReplies - lastUsage.NotOwnerReplies,
-		}
-		if d := end - start; d > 0 {
-			ph.Throughput = float64(ph.Ops) / d.Seconds()
-		}
-		if judged > 0 {
-			ph.StaleRate = float64(stale-lastStale) / float64(judged)
-		}
-		lastStale, lastFresh, lastFailed = stale, fresh, failed
-		lastUsage = u
-		out.Phases = append(out.Phases, ph)
-	}
-
-	runPhase("steady", 0, nil)
-	runPhase("join", 1, func() { cl.Join(joiner); watchJoin() })
-	eng.RunFor(3 * time.Second) // streaming + warmup + view convergence
-	runPhase("storm", 2, func() { cl.Fail(stormNode) })
-	eng.RunFor(2 * time.Second) // suspicions age into death verdicts
-	runPhase("heal", 3, func() { cl.Recover(stormNode) })
-	eng.RunFor(2 * time.Second) // refutation resurrects the node
-	runPhase("flap", 4, func() {
-		cl.Fail(flapNode)
-		tr.Schedule(750*time.Millisecond, func() { cl.Recover(flapNode) })
-	})
-	eng.RunFor(2 * time.Second)
-	runPhase("settle", 5, nil)
+	// Each membership or liveness event lands while a phase's load runs.
+	ops := phaseOps(p, 6)
+	out.Phases = d.run([]stage{
+		{Phase: Phase{"steady", w, ops}},
+		{Phase: Phase{"join", w, ops}, during: func() { cl.Join(joiner); watchJoin() }},
+		// Streaming, warmup and view convergence settle first.
+		{Phase: Phase{"storm", w, ops}, before: d.settle(3 * time.Second),
+			during: func() { cl.Fail(stormNode) }},
+		// Suspicions age into death verdicts first.
+		{Phase: Phase{"heal", w, ops}, before: d.settle(2 * time.Second),
+			during: func() { cl.Recover(stormNode) }},
+		// Refutation resurrects the node first.
+		{Phase: Phase{"flap", w, ops}, before: d.settle(2 * time.Second), during: func() {
+			cl.Fail(flapNode)
+			tr.Schedule(750*time.Millisecond, func() { cl.Recover(flapNode) })
+		}},
+		{Phase: Phase{"settle", w, ops}, before: d.settle(2 * time.Second)},
+	}, studySeeds(seed))
 	// Drain: convergence probe, hint replay, refutations.
 	for i := 0; i < 40 && (out.Converge < 0 || cl.ViewAgreement() < 1); i++ {
-		eng.RunFor(250 * time.Millisecond)
+		d.eng.RunFor(250 * time.Millisecond)
 	}
 
-	ctl.Stop()
-	stale, fresh, _ := cl.Oracle().Counts()
-	if judged := stale + fresh; judged > 0 {
-		out.WholeRunStale = float64(stale) / float64(judged)
-	}
+	d.ctl.Stop()
+	out.WholeRunStale = d.staleRate()
 	out.Usage = cl.Usage()
 	return out
 }

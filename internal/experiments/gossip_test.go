@@ -40,7 +40,7 @@ func TestGossipStudy(t *testing.T) {
 			t.Fatalf("%s: phases = %d", out.Variant.Name, len(out.Phases))
 		}
 		for _, ph := range out.Phases {
-			if ph.Ops == 0 {
+			if ph.Metrics.Ops == 0 {
 				t.Errorf("%s/%s ran no ops", out.Variant.Name, ph.Name)
 			}
 		}

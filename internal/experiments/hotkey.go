@@ -8,8 +8,6 @@ import (
 	"repro/internal/harmony"
 	"repro/internal/kv"
 	"repro/internal/monitor"
-	"repro/internal/netsim"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/ycsb"
 )
@@ -48,30 +46,10 @@ type hotKeyVariant struct {
 	PerLevel bool // hot-key-aware tuner pinning per-key read levels
 }
 
-// hotKeyPhase is one phase's measurement.
-type hotKeyPhase struct {
-	Name       string
-	Ops        uint64
-	Throughput float64
-	ReadP99    time.Duration
-	ReadMean   time.Duration
-	StaleRate  float64
-	// Per-operation network cost over the phase.
-	MsgsPerOp  float64
-	BytesPerOp float64
-	// Cache meter deltas over the phase.
-	Hits        uint64
-	Misses      uint64
-	Fills       uint64
-	Expired     uint64
-	StaleServed uint64
-	HotKeys     int
-}
-
 // hotKeyOutcome is one variant's full measurement.
 type hotKeyOutcome struct {
 	Variant hotKeyVariant
-	Phases  []hotKeyPhase
+	Phases  []phaseRecord
 	// WholeRunStale is the oracle stale rate over all judged reads.
 	WholeRunStale float64
 	Usage         kv.Usage
@@ -105,12 +83,15 @@ func RunHotKey(p Platform, seed uint64) *HotKeyResult {
 		"hits", "misses", "expired", "stale-served", "hot keys")
 	for _, out := range outcomes {
 		for _, ph := range out.Phases {
-			t.Add(out.Variant.Name, ph.Name, fmt.Sprintf("%d", ph.Ops),
-				fmt.Sprintf("%.0f", ph.Throughput), fmt.Sprintf("%v", ph.ReadP99),
-				pct(ph.StaleRate), fmt.Sprintf("%.1f", ph.MsgsPerOp),
-				fmt.Sprintf("%d", ph.Hits), fmt.Sprintf("%d", ph.Misses),
-				fmt.Sprintf("%d", ph.Expired), fmt.Sprintf("%d", ph.StaleServed),
-				fmt.Sprintf("%d", ph.HotKeys))
+			start, end := ph.UsageStart, ph.UsageEnd
+			t.Add(out.Variant.Name, ph.Name, fmt.Sprintf("%d", ph.Metrics.Ops),
+				fmt.Sprintf("%.0f", ph.Throughput()), fmt.Sprintf("%v", ph.Metrics.ReadLat.Quantile(0.99)),
+				pct(ph.StaleRate()), fmt.Sprintf("%.1f", msgsPerOp(ph)),
+				fmt.Sprintf("%d", end.CacheHits-start.CacheHits),
+				fmt.Sprintf("%d", end.CacheMisses-start.CacheMisses),
+				fmt.Sprintf("%d", end.CacheExpired-start.CacheExpired),
+				fmt.Sprintf("%d", end.CacheStaleServed-start.CacheStaleServed),
+				fmt.Sprintf("%d", end.HotKeysNow))
 		}
 		u := out.Usage
 		t.Note("%s: whole-run stale %s; %d hits / %d misses / %d fills, "+
@@ -134,18 +115,10 @@ func runHotKeyVariant(p Platform, v hotKeyVariant, seed uint64) hotKeyOutcome {
 	}
 	cfg := p.Config(seed)
 	cfg.HotCache = v.Cache
-
-	eng := sim.New(seed)
-	topo := p.Build()
-	tr := netsim.NewTransport(eng, topo)
-	cl := kv.New(topo, tr, cfg)
-	mon := monitor.New(cl.RF(), tr, monitor.DefaultOptions())
-	cl.AddHooks(mon.Hooks())
-	var tuner core.Tuner = harmony.New(hotKeyAlpha, cl.RF()).PerKey()
+	tuner := func(cl *kv.Cluster) core.Tuner { return harmony.New(hotKeyAlpha, cl.RF()).PerKey() }
 	if v.PerLevel {
-		tuner = harmony.NewHot(hotKeyAlpha, cl)
+		tuner = func(cl *kv.Cluster) core.Tuner { return harmony.NewHot(hotKeyAlpha, cl) }
 	}
-	ctl := core.NewController(mon, tuner, tr, 100*time.Millisecond)
 
 	// Steady/burst keyspace plus the shifted one the middle phase rotates
 	// to; both are preloaded so phase runners never insert.
@@ -153,112 +126,52 @@ func runHotKeyVariant(p Platform, v hotKeyVariant, seed uint64) hotKeyOutcome {
 	w.ValueSize = p.ValueBytes
 	shifted := w
 	shifted.KeyPrefix = "shift"
-	loader, err := ycsb.NewRunner(kv.StaticSession{Cluster: cl, ReadLevel: kv.One, WriteLevel: kv.One}, w, tr, seed)
-	if err != nil {
-		panic(err)
-	}
-	cl.Preload(w.RecordCount, loader.Keys, loader.Value())
-	shiftLoader, err := ycsb.NewRunner(kv.StaticSession{Cluster: cl, ReadLevel: kv.One, WriteLevel: kv.One}, shifted, tr, seed)
-	if err != nil {
-		panic(err)
-	}
-	cl.Preload(shifted.RecordCount, shiftLoader.Keys, shiftLoader.Value())
-	ctl.Start()
+	d := deploy(p, cfg, seed, monitor.DefaultOptions(), tuner, 100*time.Millisecond, w, shifted)
+	cl, loader := d.cl, d.loaders[0]
 
 	// The burst target: the scrambled zipfian's rank-0 record — the most
 	// popular key of the steady keyspace, independent of the seed.
 	headKey := loader.Keys(stats.FNVHash64(0) % w.RecordCount)
 
+	ops := phaseOps(p, 3)
 	out := hotKeyOutcome{Variant: v}
-	phaseOps := p.Ops / 3
-	if phaseOps == 0 {
-		phaseOps = 1000
-	}
-	lastStale, lastFresh, _ := cl.Oracle().Counts()
-	lastUsage := cl.Usage()
-	lastMeter := tr.Meter()
-
-	runPhase := func(name string, pw ycsb.Workload, i int, during func()) {
-		r, err := ycsb.NewRunner(ctl.Session(cl), pw, tr, seed+uint64(i+1)*1000)
-		if err != nil {
-			panic(err)
-		}
-		r.OpCount = phaseOps
-		r.Threads = p.Threads
-		start := eng.Now()
-		r.Start()
-		if during != nil {
-			during() // the stress event lands under load
-		}
-		for !r.Finished() && eng.Step() {
-		}
-		if !r.Finished() {
-			panic(fmt.Sprintf("experiments: hot-key phase %q stalled", name))
-		}
-		end := eng.Now()
-		m := r.Metrics()
-		stale, fresh, _ := cl.Oracle().Counts()
-		judged := (stale - lastStale) + (fresh - lastFresh)
-		u := cl.Usage()
-		meter := tr.Meter()
-		delta := meter.Sub(lastMeter)
-		var msgs uint64
-		for _, n := range delta.Messages {
-			msgs += n
-		}
-		ph := hotKeyPhase{
-			Name:        name,
-			Ops:         m.Ops,
-			ReadP99:     m.ReadLat.Quantile(0.99),
-			ReadMean:    m.ReadLat.Mean(),
-			Hits:        u.CacheHits - lastUsage.CacheHits,
-			Misses:      u.CacheMisses - lastUsage.CacheMisses,
-			Fills:       u.CacheFills - lastUsage.CacheFills,
-			Expired:     u.CacheExpired - lastUsage.CacheExpired,
-			StaleServed: u.CacheStaleServed - lastUsage.CacheStaleServed,
-			HotKeys:     u.HotKeysNow,
-		}
-		if d := end - start; d > 0 {
-			ph.Throughput = float64(ph.Ops) / d.Seconds()
-		}
-		if judged > 0 {
-			ph.StaleRate = float64(stale-lastStale) / float64(judged)
-		}
-		if ph.Ops > 0 {
-			ph.MsgsPerOp = float64(msgs) / float64(ph.Ops)
-			ph.BytesPerOp = float64(delta.TotalBytes()) / float64(ph.Ops)
-		}
-		lastStale, lastFresh = stale, fresh
-		lastUsage = u
-		lastMeter = meter
-		out.Phases = append(out.Phases, ph)
-	}
-
-	runPhase("steady", w, 0, nil)
-	runPhase("shift", shifted, 1, nil)
-	// Let demotion hysteresis and the controller settle on the shifted
-	// hot set before the burst returns to the original keyspace.
-	eng.RunFor(time.Second)
-	runPhase("burst", w, 2, func() {
-		// 400 writes to the head key, 2 ms apart: λ jumps to ~500/s and
-		// the freshness bound collapses under the read inter-arrival gap.
-		var fire func(left int)
-		fire = func(left int) {
-			if left == 0 {
-				return
+	out.Phases = d.run([]stage{
+		{Phase: Phase{"steady", w, ops}},
+		{Phase: Phase{"shift", shifted, ops}},
+		// Demotion hysteresis and the controller settle on the shifted
+		// hot set before the burst returns to the original keyspace.
+		{Phase: Phase{"burst", w, ops}, before: d.settle(time.Second), during: func() {
+			// 400 writes to the head key, 2 ms apart: λ jumps to ~500/s
+			// and the freshness bound collapses under the read
+			// inter-arrival gap.
+			var fire func(left int)
+			fire = func(left int) {
+				if left == 0 {
+					return
+				}
+				cl.Write(headKey, loader.Value(), kv.One, func(kv.WriteResult) {})
+				d.tr.Schedule(2*time.Millisecond, func() { fire(left - 1) })
 			}
-			cl.Write(headKey, loader.Value(), kv.One, func(kv.WriteResult) {})
-			tr.Schedule(2*time.Millisecond, func() { fire(left - 1) })
-		}
-		fire(400)
-	})
-	eng.RunFor(2 * time.Second) // drain read repair and hint replay
+			fire(400)
+		}},
+	}, studySeeds(seed))
+	d.eng.RunFor(2 * time.Second) // drain read repair and hint replay
 
-	ctl.Stop()
-	stale, fresh, _ := cl.Oracle().Counts()
-	if judged := stale + fresh; judged > 0 {
-		out.WholeRunStale = float64(stale) / float64(judged)
-	}
+	d.ctl.Stop()
+	out.WholeRunStale = d.staleRate()
 	out.Usage = cl.Usage()
 	return out
+}
+
+// msgsPerOp is a phase's network messages per operation.
+func msgsPerOp(ph phaseRecord) float64 {
+	if ph.Metrics.Ops == 0 {
+		return 0
+	}
+	traffic := ph.MeterEnd.Sub(ph.MeterStart)
+	var msgs uint64
+	for _, n := range traffic.Messages {
+		msgs += n
+	}
+	return float64(msgs) / float64(ph.Metrics.Ops)
 }

@@ -39,15 +39,15 @@ func TestHotKeyStudy(t *testing.T) {
 			t.Fatalf("%s: phases = %d", out.Variant.Name, len(out.Phases))
 		}
 		for _, ph := range out.Phases {
-			if ph.Ops == 0 {
+			if ph.Metrics.Ops == 0 {
 				t.Errorf("%s/%s ran no ops", out.Variant.Name, ph.Name)
 			}
 			// The headline guarantee: every phase — steady, hot-set
 			// shift, write burst on the head key — holds the same α the
 			// no-cache baseline tunes for.
-			if ph.StaleRate > hotKeyAlpha {
+			if ph.StaleRate() > hotKeyAlpha {
 				t.Errorf("%s/%s: stale %.3f breaches α=%.0f%%",
-					out.Variant.Name, ph.Name, ph.StaleRate, 100*hotKeyAlpha)
+					out.Variant.Name, ph.Name, ph.StaleRate(), 100*hotKeyAlpha)
 			}
 		}
 		if out.WholeRunStale > hotKeyAlpha {
@@ -85,13 +85,11 @@ func TestHotKeyStudy(t *testing.T) {
 	// Cache hits send no replica messages, so the plain cache variant's
 	// steady phase must be cheaper per operation than the baseline, and
 	// its read tail must improve with the shed replica load.
-	if cached.Phases[0].MsgsPerOp >= base.Phases[0].MsgsPerOp {
-		t.Errorf("cache: steady msgs/op %.2f not below no-cache %.2f",
-			cached.Phases[0].MsgsPerOp, base.Phases[0].MsgsPerOp)
+	if c, b := msgsPerOp(cached.Phases[0]), msgsPerOp(base.Phases[0]); c >= b {
+		t.Errorf("cache: steady msgs/op %.2f not below no-cache %.2f", c, b)
 	}
-	if cached.Phases[0].ReadP99 >= base.Phases[0].ReadP99 {
-		t.Errorf("cache: steady read p99 %v not below no-cache %v",
-			cached.Phases[0].ReadP99, base.Phases[0].ReadP99)
+	if c, b := cached.Phases[0].Metrics.ReadLat.Quantile(0.99), base.Phases[0].Metrics.ReadLat.Quantile(0.99); c >= b {
+		t.Errorf("cache: steady read p99 %v not below no-cache %v", c, b)
 	}
 	// Per-key levels spend latency on write-hot keys to buy consistency:
 	// the hot variant must serve fewer oracle-stale reads than the plain

@@ -1,15 +1,12 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/cost"
-	"repro/internal/kv"
 	"repro/internal/monitor"
 	"repro/internal/netsim"
-	"repro/internal/sim"
 	"repro/internal/ycsb"
 )
 
@@ -72,64 +69,33 @@ func (r PhasedResult) CostPerMillionOps(p Platform, pricing cost.Pricing) float6
 
 // RunPhased drives the phases sequentially over one cluster and one
 // controller, so adaptive tuners carry their state across pattern
-// changes.
+// changes. One preload covers the largest record space of any phase.
 func RunPhased(p Platform, tuner core.Tuner, phases []Phase, seed uint64) PhasedResult {
 	if seed == 0 {
 		seed = 1
 	}
-	cfg := p.Config(seed)
-	eng := sim.New(seed)
-	topo := p.Build()
-	tr := netsim.NewTransport(eng, topo)
-	cl := kv.New(topo, tr, cfg)
-	mon := monitor.New(cl.RF(), tr, monitor.DefaultOptions())
-	cl.AddHooks(mon.Hooks())
-	ctl := core.NewController(mon, tuner, tr, 250*time.Millisecond)
-
-	// Preload once with the largest record space used by any phase.
-	var maxRecords uint64
-	for _, ph := range phases {
-		if ph.Workload.RecordCount > maxRecords {
-			maxRecords = ph.Workload.RecordCount
-		}
-	}
-	loader, err := ycsb.NewRunner(kv.StaticSession{Cluster: cl, ReadLevel: kv.One, WriteLevel: kv.One},
-		ycsb.HeavyReadUpdate(maxRecords), tr, seed)
-	if err != nil {
-		panic(err)
-	}
-	cl.Preload(maxRecords, loader.Keys, loader.Value())
-	ctl.Start()
-
-	out := PhasedResult{}
-	meterStart := tr.Meter()
+	d := deploy(p, p.Config(seed), seed, monitor.DefaultOptions(), fixedTuner(tuner),
+		250*time.Millisecond, keyspaceOf(phases))
+	stages := make([]stage, len(phases))
 	for i, ph := range phases {
-		w := ph.Workload
-		w.ValueSize = p.ValueBytes
-		r, err := ycsb.NewRunner(ctl.Session(cl), w, tr, seed+uint64(i)*1000)
-		if err != nil {
-			panic(err)
-		}
-		r.OpCount = ph.Ops
-		r.Threads = p.Threads
-		r.Start()
-		for !r.Finished() && eng.Step() {
-		}
-		if !r.Finished() {
-			panic(fmt.Sprintf("experiments: phase %q stalled", ph.Name))
-		}
-		m := r.Metrics()
-		out.Phases = append(out.Phases, PhaseOutcome{Name: ph.Name, Metrics: m})
+		ph.Workload.ValueSize = p.ValueBytes
+		stages[i] = stage{Phase: ph}
+	}
+	meterStart := d.tr.Meter()
+	out := PhasedResult{}
+	for _, rec := range d.run(stages, func(i int) uint64 { return seed + uint64(i)*1000 }) {
+		m := rec.Metrics
+		out.Phases = append(out.Phases, PhaseOutcome{Name: rec.Name, Metrics: m})
 		out.TotalOps += m.Ops
 		out.Elapsed += m.Elapsed()
 		out.StaleReads += m.StaleReads
 		out.FreshReads += m.FreshReads
 	}
-	ctl.Stop()
-	final := tr.Meter()
+	d.ctl.Stop()
+	final := d.tr.Meter()
 	out.Traffic = final.Sub(meterStart)
-	out.Journal = ctl.Journal()
-	out.LevelChanges = ctl.LevelChanges()
-	out.AvgReadK = avgReadK(out.Journal, eng.Now(), cl.RF())
+	out.Journal = d.ctl.Journal()
+	out.LevelChanges = d.ctl.LevelChanges()
+	out.AvgReadK = avgReadKWindow(out.Journal, 0, d.eng.Now(), d.cl.RF())
 	return out
 }

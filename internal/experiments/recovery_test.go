@@ -75,11 +75,11 @@ func TestRecoveryVariantMeasuresRecovery(t *testing.T) {
 			t.Fatalf("%v phases = %d", out.Engine, len(out.Phases))
 		}
 		for _, ph := range out.Phases {
-			if ph.Ops == 0 {
+			if ph.Metrics.Ops == 0 {
 				t.Fatalf("%v phase %s ran no ops", out.Engine, ph.Name)
 			}
-			if ph.StaleRate < 0 || ph.StaleRate > 1 {
-				t.Fatalf("%v phase %s stale rate %f", out.Engine, ph.Name, ph.StaleRate)
+			if ph.StaleRate() < 0 || ph.StaleRate() > 1 {
+				t.Fatalf("%v phase %s stale rate %f", out.Engine, ph.Name, ph.StaleRate())
 			}
 		}
 	}

@@ -9,7 +9,6 @@ import (
 	"repro/internal/kv"
 	"repro/internal/monitor"
 	"repro/internal/netsim"
-	"repro/internal/sim"
 	"repro/internal/ycsb"
 )
 
@@ -59,30 +58,23 @@ func Run(spec RunSpec) RunResult {
 	if spec.Mutate != nil {
 		spec.Mutate(&cfg)
 	}
-	eng := sim.New(spec.Seed)
-	topo := p.Build()
-	tr := netsim.NewTransport(eng, topo)
-	cl := kv.New(topo, tr, cfg)
-
 	mopts := monitor.DefaultOptions()
 	if spec.MonitorOpts != nil {
 		mopts = *spec.MonitorOpts
 	}
-	mon := monitor.New(cl.RF(), tr, mopts)
-	cl.AddHooks(mon.Hooks())
 	interval := spec.Interval
 	if interval <= 0 {
 		// Re-evaluate often relative to run length so scaled-down runs
 		// still exercise the control loop many times.
 		interval = 250 * time.Millisecond
 	}
-	ctl := core.NewController(mon, spec.Tuner, tr, interval)
+	d := deploy(p, cfg, spec.Seed, mopts, fixedTuner(spec.Tuner), interval, w)
 
-	sess := ctl.Session(cl)
+	sess := d.ctl.Session(d.cl)
 	if spec.Wrap != nil {
-		sess = spec.Wrap(sess, cl, tr)
+		sess = spec.Wrap(sess, d.cl, d.tr)
 	}
-	runner, err := ycsb.NewRunner(sess, w, tr, spec.Seed)
+	runner, err := ycsb.NewRunner(sess, w, d.tr, spec.Seed)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: %v", err))
 	}
@@ -93,54 +85,23 @@ func Run(spec RunSpec) RunResult {
 		warm = 0.1
 	}
 	runner.WarmupOps = uint64(float64(p.Ops) * warm)
-
-	cl.Preload(w.RecordCount, runner.Keys, runner.Value())
-	ctl.Start()
 	runner.Start()
-	for !runner.Finished() && eng.Step() {
-	}
-	if !runner.Finished() {
-		panic("experiments: workload stalled before completion")
-	}
-	ctl.Stop()
+	d.complete(runner, "workload")
+	d.ctl.Stop()
 
-	res := RunResult{
+	m := runner.Metrics()
+	return RunResult{
 		Spec:         spec,
-		Metrics:      runner.Metrics(),
-		Journal:      ctl.Journal(),
-		LevelChanges: ctl.LevelChanges(),
-		Usage:        cl.Usage(),
-		Traffic:      tr.Meter(),
-		Cluster:      cl,
-		Monitor:      mon,
-		Events:       eng.Events(),
+		Metrics:      m,
+		Journal:      d.ctl.Journal(),
+		LevelChanges: d.ctl.LevelChanges(),
+		AvgReadK:     avgReadKWindow(d.ctl.Journal(), 0, m.End, d.cl.RF()),
+		Usage:        d.cl.Usage(),
+		Traffic:      d.tr.Meter(),
+		Cluster:      d.cl,
+		Monitor:      d.mon,
+		Events:       d.eng.Events(),
 	}
-	res.AvgReadK = avgReadK(res.Journal, runner.Metrics().End, cl.RF())
-	return res
-}
-
-// avgReadK time-weights the read level held across the run.
-func avgReadK(journal []core.JournalEntry, end time.Duration, rf int) float64 {
-	if len(journal) == 0 {
-		return 0
-	}
-	var weighted, total float64
-	for i, e := range journal {
-		until := end
-		if i+1 < len(journal) {
-			until = journal[i+1].At
-		}
-		if until <= e.At {
-			continue
-		}
-		span := (until - e.At).Seconds()
-		weighted += span * float64(e.Decision.ReadLevel.Replicas(rf))
-		total += span
-	}
-	if total == 0 {
-		return float64(journal[len(journal)-1].Decision.ReadLevel.Replicas(rf))
-	}
-	return weighted / total
 }
 
 // BillAtPaperScale extrapolates a measured run to the paper's operation

@@ -249,7 +249,7 @@ func UnmarshalMessage(kind byte, body []byte) (from, to netsim.NodeID, payload a
 		}
 	case wireReplicaBatchReadResp:
 		m := &replicaBatchReadResp{ID: reqID(c.uvarint())}
-		n := int(c.uvarint())
+		n := c.count()
 		if n > 0 && !c.err {
 			m.Items = make([]batchReadItem, 0, n)
 			for i := 0; i < n && !c.err; i++ {
@@ -268,7 +268,7 @@ func UnmarshalMessage(kind byte, body []byte) (from, to netsim.NodeID, payload a
 			Idxs: c.ints(),
 			Keys: c.strings(),
 		}
-		n := int(c.uvarint())
+		n := c.count()
 		if n > 0 && !c.err {
 			m.Cells = make([]storage.Cell, 0, n)
 			for i := 0; i < n && !c.err; i++ {
@@ -286,7 +286,7 @@ func UnmarshalMessage(kind byte, body []byte) (from, to netsim.NodeID, payload a
 		}
 	case wireAeOffer:
 		m := aeOffer{Keys: c.strings()}
-		n := int(c.uvarint())
+		n := c.count()
 		if n > 0 && !c.err {
 			m.Versions = make([]storage.Version, 0, n)
 			for i := 0; i < n && !c.err; i++ {
@@ -433,6 +433,18 @@ func (c *wireCursor) bytes() []byte {
 	return v
 }
 
+// count reads an element count. Every counted element takes at least
+// one body byte, so a count beyond the bytes left is corrupt; latching
+// it here keeps a hostile prefix from sizing a huge allocation.
+func (c *wireCursor) count() int {
+	n := c.uvarint()
+	if n > uint64(len(c.data)) {
+		c.err = true
+		return 0
+	}
+	return int(n)
+}
+
 // str copies a length-prefixed string out of the body.
 func (c *wireCursor) str() string { return string(c.bytes()) }
 
@@ -449,7 +461,7 @@ func (c *wireCursor) cell() storage.Cell {
 }
 
 func (c *wireCursor) ints() []int {
-	n := int(c.uvarint())
+	n := c.count()
 	if n == 0 || c.err {
 		return nil
 	}
@@ -461,7 +473,7 @@ func (c *wireCursor) ints() []int {
 }
 
 func (c *wireCursor) strings() []string {
-	n := int(c.uvarint())
+	n := c.count()
 	if n == 0 || c.err {
 		return nil
 	}
@@ -473,7 +485,7 @@ func (c *wireCursor) strings() []string {
 }
 
 func (c *wireCursor) ranges() []ring.Range {
-	n := int(c.uvarint())
+	n := c.count()
 	if n == 0 || c.err {
 		return nil
 	}
@@ -488,7 +500,7 @@ func (c *wireCursor) ranges() []ring.Range {
 }
 
 func (c *wireCursor) aeCells() []aeCell {
-	n := int(c.uvarint())
+	n := c.count()
 	if n == 0 || c.err {
 		return nil
 	}

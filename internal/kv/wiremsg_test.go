@@ -84,12 +84,8 @@ func TestWireMessageRoundTrips(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			decoded := roundTrip(t, 3, 11, tc.payload)
-			got := reflect.ValueOf(decoded)
-			if got.Kind() == reflect.Pointer {
-				got = got.Elem()
-			}
-			if !reflect.DeepEqual(got.Interface(), tc.want) {
-				t.Fatalf("decoded %+v, want %+v", got.Interface(), tc.want)
+			if got := wireValue(decoded); !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("decoded %+v, want %+v", got, tc.want)
 			}
 		})
 	}

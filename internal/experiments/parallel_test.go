@@ -12,7 +12,12 @@ import (
 // run is a pure function of its spec), in spec order.
 func TestParallelMatchesSequential(t *testing.T) {
 	t.Setenv("REPRO_WORKERS", "4") // force real fan-out even on one core
-	p := G5KHarmony().Scaled(0.0005)
+	// 160 client threads instead of the preset's 1600: ten times fewer
+	// operations per run over the same 84-node topology, enough for the
+	// driver's contract, which does not depend on run length.
+	p := G5KHarmony()
+	p.Threads = 160
+	p = p.Scaled(0.0005)
 	specs := make([]RunSpec, 0, 4)
 	for _, lvl := range []kv.Level{kv.One, kv.Quorum, kv.All, kv.Two} {
 		specs = append(specs, RunSpec{

@@ -132,13 +132,9 @@ func simulatePlan(plan provision.Plan, w provision.Workload, c provision.Constra
 		Concurrency:   plan.Type.Concurrency,
 	}
 	wl := ycsb.Mix(p.Records, w.ReadFraction, ycsb.DistZipfian, 0.99)
-	read, write := kv.Count(c.ReadLevel), kv.Count(c.WriteLevel)
-	d := deploy(p, p.Config(seed), seed, monitor.DefaultOptions(),
-		fixedTuner(core.StaticTuner{Read: read, Write: write}), 250*time.Millisecond, wl)
-	r, err := ycsb.NewRunner(kv.StaticSession{Cluster: d.cl, ReadLevel: read, WriteLevel: write}, wl, d.tr, seed)
-	if err != nil {
-		panic(err)
-	}
+	tuner := core.StaticTuner{Read: kv.Count(c.ReadLevel), Write: kv.Count(c.WriteLevel)}
+	d := deploy(p, p.Config(seed), seed, monitor.DefaultOptions(), fixedTuner(tuner), 250*time.Millisecond, wl)
+	r := d.loaders[0]
 	r.OpCount = p.Ops
 	r.OpenLoopRate = w.OpsPerSecond
 	r.Start()

@@ -28,8 +28,10 @@ type deployment struct {
 	cl  *kv.Cluster
 	mon *monitor.Monitor
 	ctl *core.Controller
-	// loaders are the preloaded keyspaces' runners, in preload order:
-	// their Keys and Value name the stored records.
+	// loaders are the preloaded keyspaces' runners, in preload order,
+	// under the controller's session. Their Keys and Value name the
+	// stored records; a run over a preloaded keyspace reuses its loader,
+	// whose key cache the preload has filled.
 	loaders []*ycsb.Runner
 	threads int // the platform's client threads, each stage's default
 
@@ -67,7 +69,7 @@ func deploy(p Platform, cfg kv.Config, seed uint64, mopts monitor.Options, tuner
 	d.cl.AddHooks(d.mon.Hooks())
 	d.ctl = core.NewController(d.mon, tuner(d.cl), d.tr, interval)
 	for _, w := range keyspaces {
-		loader, err := ycsb.NewRunner(kv.StaticSession{Cluster: d.cl, ReadLevel: kv.One, WriteLevel: kv.One}, w, d.tr, seed)
+		loader, err := ycsb.NewRunner(d.ctl.Session(d.cl), w, d.tr, seed)
 		if err != nil {
 			panic(fmt.Sprintf("experiments: %v", err))
 		}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/core"
@@ -70,13 +69,9 @@ func Run(spec RunSpec) RunResult {
 	}
 	d := deploy(p, cfg, spec.Seed, mopts, fixedTuner(spec.Tuner), interval, w)
 
-	sess := d.ctl.Session(d.cl)
+	runner := d.loaders[0]
 	if spec.Wrap != nil {
-		sess = spec.Wrap(sess, d.cl, d.tr)
-	}
-	runner, err := ycsb.NewRunner(sess, w, d.tr, spec.Seed)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
+		runner.Session = spec.Wrap(runner.Session, d.cl, d.tr)
 	}
 	runner.OpCount = p.Ops
 	runner.Threads = p.Threads

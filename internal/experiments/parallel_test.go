@@ -14,7 +14,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 	t.Setenv("REPRO_WORKERS", "4") // force real fan-out even on one core
 	// 160 client threads instead of the preset's 1600: ten times fewer
 	// operations per run over the same 84-node topology, enough for the
-	// driver's contract, which does not depend on run length.
+	// fan-out contract, which does not depend on run length.
 	p := G5KHarmony()
 	p.Threads = 160
 	p = p.Scaled(0.0005)

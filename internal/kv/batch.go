@@ -178,7 +178,7 @@ func (n *Node) coordBatchRead(m clientBatchRead) {
 			}
 			n.cluster.net.Send(n.id, t, rb, size)
 		}
-		n.cluster.net.SendLocal(n.id, newCoordTimeout(m.ID, false), n.cluster.cfg.Timeout)
+		bctx.timer = n.armTimeout(m.ID, false)
 	})
 }
 
@@ -232,6 +232,7 @@ func (n *Node) onBatchReadResp(m replicaBatchReadResp) {
 		}
 	}
 	delete(n.batchReads, m.ID) // every item finalized before the timeout
+	n.retireTimeout(bctx.timer)
 }
 
 // replyBatchRead ships a whole batch's results to the client endpoint in
@@ -315,11 +316,12 @@ func (n *Node) coordBatchWrite(m clientBatchWrite) {
 				rb.Idxs = append(rb.Idxs, i)
 				rb.Keys = append(rb.Keys, op.Key)
 				rb.Cells = append(rb.Cells, cell)
+				ctx.shipped++
 			}
 		}
-		// The batch context lives until the timeout fires even when every
-		// item completed: late replica acks are the monitor's propagation
-		// signal, exactly as for single writes.
+		// The batch context outlives delivery until every item settled:
+		// late replica acks are the monitor's propagation signal, exactly
+		// as for single writes.
 		n.batchWrites[m.ID] = bctx
 		for _, r := range order {
 			rb := perReplica[r]
@@ -329,12 +331,12 @@ func (n *Node) coordBatchWrite(m clientBatchWrite) {
 			}
 			n.cluster.net.Send(n.id, r, rb, size)
 		}
-		n.cluster.net.SendLocal(n.id, newCoordTimeout(m.ID, true), n.cluster.cfg.Timeout)
+		bctx.timer = n.armTimeout(m.ID, true)
 	})
 }
 
 // onBatchWriteAck folds one replica's batched acknowledgement into every
-// item it covers.
+// item it covers, and retires the batch once every item settled.
 func (n *Node) onBatchWriteAck(m replicaBatchWriteAck) {
 	bctx, ok := n.batchWrites[m.ID]
 	if !ok {
@@ -343,6 +345,18 @@ func (n *Node) onBatchWriteAck(m replicaBatchWriteAck) {
 	for _, idx := range m.Idxs {
 		if ctx := bctx.items[idx]; ctx != nil {
 			n.foldWriteAck(ctx, m.From)
+		}
+	}
+	for _, ctx := range bctx.items {
+		if ctx != nil && !ctx.settled() {
+			return
+		}
+	}
+	delete(n.batchWrites, m.ID)
+	n.retireTimeout(bctx.timer)
+	for _, ctx := range bctx.items {
+		if ctx != nil {
+			putWriteCtx(ctx)
 		}
 	}
 }

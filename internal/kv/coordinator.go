@@ -16,6 +16,7 @@ import (
 // with a per-DC map only for multi-DC requirements.
 type readCtx struct {
 	id             reqID
+	timer          uint32 // timer slab slot (single reads; a batch owns one for all items)
 	key            string
 	level          Level
 	req            requirement
@@ -71,11 +72,14 @@ func (ctx *readCtx) dropTarget(from netsim.NodeID) {
 	}
 }
 
-// writeCtx tracks one coordinated write; it lives until the timeout event
-// fires so that post-completion replica acks are still observed (they are
-// the monitor's propagation-time signal).
+// writeCtx tracks one coordinated write. It outlives completion until
+// every replica the mutation was shipped to has acked (settled), so
+// post-completion acks are still observed — they are the monitor's
+// propagation-time signal; a write some replica never acks (it failed,
+// or refused the key under gossip) lives until its timeout.
 type writeCtx struct {
 	id        reqID
+	timer     uint32 // timer slab slot (single writes; a batch owns one for all items)
 	key       string
 	level     Level
 	req       requirement
@@ -85,6 +89,7 @@ type writeCtx struct {
 	replicas  int
 	ackCount  int
 	ackDC     map[string]int // per-DC tallies; nil unless req.perDC is set
+	shipped   int            // replicas sent the mutation (hinted ones excluded)
 	completed bool
 
 	// Gossip-mode retry state: the cell being written, the replicas (or
@@ -94,10 +99,18 @@ type writeCtx struct {
 	retries int
 }
 
+// settled reports that no further ack, refusal or wrong-owner retry can
+// reach the write: it completed and every replica it was shipped to
+// acked. Each replica gets the mutation at most once per request and
+// answers it with exactly one ack or one refusal, and only a refusal
+// schedules a retry, so an all-acked write has nothing left in flight.
+func (ctx *writeCtx) settled() bool { return ctx.completed && ctx.ackCount >= ctx.shipped }
+
 // Context pools: one read and one write context per operation was the
 // largest remaining steady-state allocation of the coordinator path.
 // Contexts are returned once they can no longer be referenced — when they
-// leave the coordinator's tracking maps after finalization or timeout.
+// leave the coordinator's tracking maps after finalization, settlement or
+// timeout.
 var (
 	readCtxPool  = sync.Pool{New: func() any { return new(readCtx) }}
 	writeCtxPool = sync.Pool{New: func() any { return new(writeCtx) }}
@@ -124,6 +137,7 @@ func putWriteCtx(ctx *writeCtx) {
 // sub-contexts sharing a single admission, request fan-out and timeout.
 type batchReadCtx struct {
 	id        reqID
+	timer     uint32 // timer slab slot
 	cb        func([]ReadResult)
 	items     []*readCtx // nil for items that failed at admission
 	results   []ReadResult
@@ -132,10 +146,11 @@ type batchReadCtx struct {
 }
 
 // batchWriteCtx is the write counterpart of batchReadCtx. Like writeCtx
-// it lives until the timeout event so late replica acks still feed the
-// monitor's propagation signal.
+// it outlives delivery until every item settled, so late replica acks
+// still feed the monitor's propagation signal.
 type batchWriteCtx struct {
 	id        reqID
+	timer     uint32 // timer slab slot
 	cb        func([]WriteResult)
 	items     []*writeCtx
 	results   []WriteResult
@@ -187,7 +202,7 @@ func (n *Node) coordRead(m clientRead) {
 			rr := newReplicaRead(replicaRead{ID: m.ID, Key: m.Key, Digest: digest, Coord: n.id, RingSeq: n.ringSeq()})
 			n.cluster.net.Send(n.id, t, rr, msgOverhead+len(m.Key))
 		}
-		n.cluster.net.SendLocal(n.id, newCoordTimeout(m.ID, false), n.cluster.cfg.Timeout)
+		ctx.timer = n.armTimeout(m.ID, false)
 	})
 }
 
@@ -228,6 +243,7 @@ func (n *Node) onReadResp(m replicaReadResp) {
 
 	if len(ctx.responses) >= len(ctx.targets) && !ctx.awaitData && ctx.delivered {
 		delete(n.reads, ctx.id)
+		n.retireTimeout(ctx.timer)
 		n.finalizeRead(ctx)
 		putReadCtx(ctx)
 	}
@@ -389,18 +405,25 @@ func (n *Node) coordWrite(m clientWrite) {
 			}
 			w := newReplicaWrite(replicaWrite{ID: m.ID, Key: m.Key, Cell: cell, Coord: n.id, RingSeq: n.ringSeq()})
 			n.cluster.net.Send(n.id, r, w, msgOverhead+len(m.Key)+len(m.Value))
+			ctx.shipped++
 		}
-		n.cluster.net.SendLocal(n.id, newCoordTimeout(m.ID, true), n.cluster.cfg.Timeout)
+		ctx.timer = n.armTimeout(m.ID, true)
 	})
 }
 
-// onWriteAck folds one replica acknowledgement into the write context.
+// onWriteAck folds one replica acknowledgement into the write context
+// and retires the context once it settled.
 func (n *Node) onWriteAck(m replicaWriteAck) {
 	ctx, ok := n.writes[m.ID]
 	if !ok {
 		return
 	}
 	n.foldWriteAck(ctx, m.From)
+	if ctx.settled() {
+		delete(n.writes, m.ID)
+		n.retireTimeout(ctx.timer)
+		putWriteCtx(ctx)
+	}
 }
 
 // foldWriteAck counts one replica acknowledgement toward ctx and
@@ -425,14 +448,15 @@ func (n *Node) foldWriteAck(ctx *writeCtx, from netsim.NodeID) {
 	}
 }
 
-// onTimeout fires for both reads and writes, single and batched;
-// contexts still incomplete fail with ErrTimeout, completed ones are
-// finalized. The timeout is the last reference to a context, so it also
-// returns contexts to their pools.
-func (n *Node) onTimeout(m coordTimeout) {
-	if m.Write {
-		if bctx, ok := n.batchWrites[m.ID]; ok {
-			delete(n.batchWrites, m.ID)
+// onTimeout runs when a coordinator timer fires, for reads and writes,
+// single and batched: the context is still tracked, so some reply never
+// came. Contexts still incomplete fail with ErrTimeout, completed ones
+// are finalized; the timer was the last reference to them, so they also
+// return to their pools.
+func (n *Node) onTimeout(id reqID, write bool) {
+	if write {
+		if bctx, ok := n.batchWrites[id]; ok {
+			delete(n.batchWrites, id)
 			for _, ctx := range bctx.items {
 				if ctx != nil {
 					n.expireWrite(ctx)
@@ -441,17 +465,17 @@ func (n *Node) onTimeout(m coordTimeout) {
 			}
 			return
 		}
-		ctx, ok := n.writes[m.ID]
+		ctx, ok := n.writes[id]
 		if !ok {
 			return
 		}
-		delete(n.writes, m.ID)
+		delete(n.writes, id)
 		n.expireWrite(ctx)
 		putWriteCtx(ctx)
 		return
 	}
-	if bctx, ok := n.batchReads[m.ID]; ok {
-		delete(n.batchReads, m.ID)
+	if bctx, ok := n.batchReads[id]; ok {
+		delete(n.batchReads, id)
 		for _, ctx := range bctx.items {
 			if ctx != nil {
 				n.expireRead(ctx)
@@ -460,11 +484,11 @@ func (n *Node) onTimeout(m coordTimeout) {
 		}
 		return
 	}
-	ctx, ok := n.reads[m.ID]
+	ctx, ok := n.reads[id]
 	if !ok {
 		return
 	}
-	delete(n.reads, m.ID)
+	delete(n.reads, id)
 	n.expireRead(ctx)
 	putReadCtx(ctx)
 }

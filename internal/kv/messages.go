@@ -190,13 +190,6 @@ type replicaReadResp struct {
 	From   netsim.NodeID
 }
 
-// coordTimeout fires on the coordinator when a request exceeded the
-// cluster timeout.
-type coordTimeout struct {
-	ID    reqID
-	Write bool
-}
-
 // aeTick triggers one anti-entropy round on a node. epoch ties the tick
 // chain to a node incarnation: ticks scheduled before a crash do not
 // duplicate the chain the restart starts.

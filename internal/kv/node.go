@@ -12,7 +12,7 @@ import (
 // work is a unit of node CPU/disk work waiting for an execution slot.
 type work struct {
 	cost     time.Duration
-	enqueued time.Duration
+	enqueued time.Duration // stamped only on a shedding stage
 	fn       func()
 }
 
@@ -104,11 +104,16 @@ type Node struct {
 	coordOps    uint64
 	readRepairs uint64
 
-	// Coordinator state.
+	// Coordinator state: in-flight contexts, and the slab of their
+	// cancelable timeouts (coordtimer.go) with its free list and the
+	// pre-bound callback every timer shares.
 	reads       map[reqID]*readCtx
 	writes      map[reqID]*writeCtx
 	batchReads  map[reqID]*batchReadCtx
 	batchWrites map[reqID]*batchWriteCtx
+	timers      []coordTimer
+	timerFree   int32
+	timerCb     func(uint32)
 
 	// Gossip membership agent (Config.Gossip only; nil otherwise). It
 	// survives crashes — real systems persist their membership view and
@@ -149,7 +154,9 @@ func newNode(id netsim.NodeID, c *Cluster) *Node {
 		batchReads:  make(map[reqID]*batchReadCtx),
 		batchWrites: make(map[reqID]*batchWriteCtx),
 		hints:       make(map[netsim.NodeID][]hintEntry),
+		timerFree:   noTimer,
 	}
+	n.timerCb = n.timeoutFired
 	n.readStage.conc = c.cfg.Concurrency
 	n.writeStage.conc = c.cfg.Concurrency
 	n.writeStage.shed = c.cfg.MutationShed
@@ -166,8 +173,8 @@ func (n *Node) Engine() storage.Engine { return n.engine }
 // every piece of actor state that lives in process memory — queued and
 // running stage work, coordinator contexts, buffered hints — is lost.
 // Dropped contexts are not returned to their pools (in-flight events may
-// still reference them; the GC reclaims them), and the timeout events
-// still heading here find empty maps and no-op.
+// still reference them; the GC reclaims them). Their timers stay armed:
+// each fires into the bumped epoch, no-ops and frees its slab slot.
 func (n *Node) crash() {
 	n.crashed = true
 	n.epoch++
@@ -225,8 +232,6 @@ func (n *Node) dropWhileCrashed(payload any) {
 	case *coordExec:
 		m.fn = nil
 		coordExecPool.Put(m)
-	case *coordTimeout:
-		coordTimeoutPool.Put(m)
 	case *clientRead:
 		*m = clientRead{}
 		clientReadPool.Put(m)
@@ -271,7 +276,10 @@ func (n *Node) submitWrite(cost time.Duration, fn func()) {
 }
 
 func (n *Node) submit(st *stage, cost time.Duration, fn func()) {
-	w := work{cost: cost, enqueued: n.cluster.net.Now(), fn: fn}
+	w := work{cost: cost, fn: fn}
+	if st.shed > 0 {
+		w.enqueued = n.cluster.net.Now() // only shedding reads it
+	}
 	if st.busy >= st.conc {
 		st.queue = append(st.queue, w)
 		if q := st.qlen(); q > st.peak {
@@ -322,7 +330,10 @@ func (n *Node) finishWork(st *stage, w work) {
 	// shedding drops work that sat in the queue beyond the shed threshold
 	// instead of executing it (Cassandra's dropped mutations under
 	// overload; repair and anti-entropy heal the divergence later).
-	now := n.cluster.net.Now()
+	var now time.Duration
+	if st.shed > 0 {
+		now = n.cluster.net.Now()
+	}
 	for st.head < len(st.queue) && st.busy < st.conc {
 		next := st.queue[st.head]
 		st.queue[st.head] = work{} // release the closure
@@ -407,10 +418,6 @@ func (n *Node) Handle(from netsim.NodeID, payload any) {
 		n.coordBatchRead(m)
 	case clientBatchWrite:
 		n.coordBatchWrite(m)
-	case *coordTimeout:
-		v := *m
-		coordTimeoutPool.Put(m)
-		n.onTimeout(v)
 
 	case *replicaWrite:
 		v := *m

@@ -22,7 +22,6 @@ var (
 	replicaWriteAckPool = sync.Pool{New: func() any { return new(replicaWriteAck) }}
 	workDonePool        = sync.Pool{New: func() any { return new(workDone) }}
 	coordExecPool       = sync.Pool{New: func() any { return new(coordExec) }}
-	coordTimeoutPool    = sync.Pool{New: func() any { return new(coordTimeout) }}
 	streamRequestPool   = sync.Pool{New: func() any { return new(streamRequest) }}
 	streamChunkPool     = sync.Pool{New: func() any { return new(streamChunk) }}
 	streamDonePool      = sync.Pool{New: func() any { return new(streamDone) }}
@@ -86,12 +85,6 @@ func newWorkDone(st *stage, w work, epoch uint32) *workDone {
 func newCoordExec(fn func(), epoch uint32) *coordExec {
 	p := coordExecPool.Get().(*coordExec)
 	p.fn, p.epoch = fn, epoch
-	return p
-}
-
-func newCoordTimeout(id reqID, write bool) *coordTimeout {
-	p := coordTimeoutPool.Get().(*coordTimeout)
-	p.ID, p.Write = id, write
 	return p
 }
 

@@ -64,9 +64,11 @@ type Engine struct {
 }
 
 // queuedMsg is one delivery: a run-queue entry or a parked message.
+// local marks a self-message (SendLocal), which reaches a failed node.
 type queuedMsg struct {
 	to, from netsim.NodeID
 	payload  any
+	local    bool
 }
 
 // parkedMsg is a slot of the parked slab; next chains free slots.
@@ -132,12 +134,14 @@ func (e *Engine) Do(fn func()) {
 // then hands any staged peer frames to the mesh writers. Every path
 // that takes the engine lock drains before releasing it, so handler
 // execution stays serialized and non-reentrant, and no delayed event
-// ever fires from inside a handler.
+// ever fires from inside a handler. As in netsim, a failed node loses
+// network traffic that was in flight when it failed but still gets its
+// self-messages: its clock is alive, only its network is cut.
 func (e *Engine) drain() {
 	for i := 0; i < len(e.runq); i++ {
 		q := e.runq[i]
 		e.runq[i] = queuedMsg{}
-		if e.closed || e.down[q.to] {
+		if e.closed || (!q.local && e.down[q.to]) {
 			continue
 		}
 		if h, ok := e.handlers[q.to]; ok {
@@ -203,8 +207,8 @@ func (e *Engine) after(d time.Duration) time.Duration {
 
 // deliver queues a message for to: on the run queue when delay is
 // zero, else parked on the heap until its deadline.
-func (e *Engine) deliver(to, from netsim.NodeID, payload any, delay time.Duration) {
-	q := queuedMsg{to: to, from: from, payload: payload}
+func (e *Engine) deliver(to, from netsim.NodeID, payload any, local bool, delay time.Duration) {
+	q := queuedMsg{to: to, from: from, payload: payload, local: local}
 	if e.scale(delay) <= 0 {
 		e.runq = append(e.runq, q)
 		return
@@ -248,12 +252,12 @@ func (e *Engine) Send(from, to netsim.NodeID, payload any, size int) {
 	if e.latency {
 		delay = e.topo.Latency.Law(class).Sample(e.rng)
 	}
-	e.deliver(to, from, payload, delay)
+	e.deliver(to, from, payload, false, delay)
 }
 
 // SendLocal schedules a self-message (timer) on id.
 func (e *Engine) SendLocal(id netsim.NodeID, payload any, delay time.Duration) {
-	e.deliver(id, id, payload, delay)
+	e.deliver(id, id, payload, true, delay)
 }
 
 // Schedule runs fn under the engine lock after delay.

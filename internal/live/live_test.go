@@ -97,6 +97,51 @@ func TestLiveFailureAndRecovery(t *testing.T) {
 	eng.Do(func() { cl.Recover(reps[0]) })
 }
 
+// TestLiveFailedNodeKeepsTimers: Fail cuts a node's network, not its
+// clock. Its self-messages keep arriving while it is failed, as under
+// netsim, so its anti-entropy tick chain survives Fail and Recover
+// instead of dying at the first tick that falls inside the outage.
+func TestLiveFailedNodeKeepsTimers(t *testing.T) {
+	topo := netsim.SingleDC(3)
+	eng := New(topo, 6)
+	defer eng.Close()
+	eng.Scale = 0.2
+	cfg := kv.DefaultConfig()
+	cfg.Seed = 6
+	cfg.HintReplayInterval = 0
+	cfg.AntiEntropyInterval = 50 * time.Millisecond // 10 ms at scale 0.2
+	const victim = netsim.NodeID(2)
+	var ticks atomic.Int64
+	var cl *kv.Cluster
+	eng.Do(func() {
+		cl = kv.New(topo, eng, cfg)
+		n := cl.Node(victim)
+		eng.Register(victim, func(from netsim.NodeID, payload any) {
+			if fmt.Sprintf("%T", payload) == "kv.aeTick" {
+				ticks.Add(1)
+			}
+			n.Handle(from, payload)
+		})
+	})
+	// waitTicks waits until the victim saw want more AE ticks.
+	waitTicks := func(phase string, want int64) {
+		t.Helper()
+		from := ticks.Load()
+		deadline := time.Now().Add(5 * time.Second)
+		for ticks.Load()-from < want {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d AE ticks in 5 s, want %d", phase, ticks.Load()-from, want)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	waitTicks("before Fail", 3)
+	eng.Do(func() { cl.Fail(victim) })
+	waitTicks("while failed", 3)
+	eng.Do(func() { cl.Recover(victim) })
+	waitTicks("after Recover", 3)
+}
+
 // TestLiveCloseStopsDelivery arms a timer, a delayed self-message and an
 // in-flight quorum read, closes the engine before any of them is due,
 // and waits past every deadline: nothing may run once Close returns.

@@ -23,6 +23,9 @@ const maxRESPBulk = 64 << 20
 // respBufSize is the initial buffer size of readers and writers.
 const respBufSize = 4 << 10
 
+// maxRESPInline bounds an inline command line, terminator excluded.
+const maxRESPInline = 4 * respBufSize
+
 // RESPReader decodes RESP2 commands from a stream.
 type RESPReader struct {
 	r     io.Reader
@@ -131,17 +134,21 @@ func (r *RESPReader) parse() ([][]byte, int, error) {
 }
 
 // parseInline decodes a space-separated inline command line (the
-// hand-telnet form redis-cli falls back to).
+// hand-telnet form redis-cli falls back to). A line longer than
+// maxRESPInline is a protocol error whether or not its terminator has
+// arrived yet, so the verdict does not depend on how the stream was
+// split into reads, and the terminator search never scans past the
+// bound.
 func (r *RESPReader) parseInline(data []byte) ([][]byte, int, error) {
 	lineEnd := -1
-	for i := 0; i+1 < len(data); i++ {
+	for i := 0; i+1 < len(data) && i <= maxRESPInline; i++ {
 		if data[i] == '\r' && data[i+1] == '\n' {
 			lineEnd = i
 			break
 		}
 	}
 	if lineEnd < 0 {
-		if len(data) > respBufSize*4 {
+		if len(data) > maxRESPInline+1 {
 			return nil, 0, ErrRESPProtocol
 		}
 		return nil, 0, nil

@@ -14,12 +14,10 @@ import "repro/internal/sim"
 const noTimer = int32(-1)
 
 // coordTimer is one slot of a node's timer slab: the request it
-// covers, the node incarnation that armed it and the engine handle
-// that stops it.
+// covers and the engine handle that stops it.
 type coordTimer struct {
 	id       reqID
 	write    bool
-	epoch    uint32
 	timer    sim.Timer
 	nextFree int32
 }
@@ -35,7 +33,7 @@ func (n *Node) armTimeout(id reqID, write bool) uint32 {
 		s = int32(len(n.timers) - 1)
 	}
 	t := &n.timers[s]
-	t.id, t.write, t.epoch = id, write, n.epoch
+	t.id, t.write = id, write
 	t.timer = n.cluster.callStop.ScheduleStopCall(n.cluster.cfg.Timeout, n.timerCb, uint32(s))
 	return uint32(s)
 }
@@ -53,15 +51,15 @@ func (n *Node) retireTimeout(s uint32) {
 	n.freeTimer(s)
 }
 
-// timeoutFired is the pre-bound timer callback. A crash bumps the
-// epoch, so a timer armed by an earlier incarnation is ignored whether
-// the node is still down or has restarted (the contexts it covered
-// died with the crash); a timer whose actor a rejoin replaced is
-// ignored too. Either way its slot is recycled.
+// timeoutFired is the pre-bound timer callback; it recycles the slot
+// first. A timer armed before a crash finds nothing: the crash emptied
+// the context maps and request ids are never reused. A timer whose
+// actor a rejoin replaced is ignored, as its timeout message used to
+// reach the new actor and find nothing there.
 func (n *Node) timeoutFired(s uint32) {
 	t := n.timers[s]
 	n.freeTimer(s)
-	if t.epoch != n.epoch || n.cluster.nodes[n.id] != n {
+	if n.cluster.nodes[n.id] != n {
 		return
 	}
 	n.onTimeout(t.id, t.write)

@@ -174,7 +174,8 @@ func (n *Node) Engine() storage.Engine { return n.engine }
 // running stage work, coordinator contexts, buffered hints — is lost.
 // Dropped contexts are not returned to their pools (in-flight events may
 // still reference them; the GC reclaims them). Their timers stay armed:
-// each fires into the bumped epoch, no-ops and frees its slab slot.
+// each fires into the emptied maps, finds nothing and frees its slab
+// slot.
 func (n *Node) crash() {
 	n.crashed = true
 	n.epoch++

@@ -279,7 +279,7 @@ func (n *Node) submitWrite(cost time.Duration, fn func()) {
 func (n *Node) submit(st *stage, cost time.Duration, fn func()) {
 	w := work{cost: cost, fn: fn}
 	if st.shed > 0 {
-		w.enqueued = n.cluster.net.Now() // only shedding reads it
+		w.enqueued = n.cluster.net.Now()
 	}
 	if st.busy >= st.conc {
 		st.queue = append(st.queue, w)
